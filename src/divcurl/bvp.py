@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (EmptyPartitionPieceError, IncompatibleDataError,
                      InsufficientBasisError, NonConvergenceError)
-from .fem import (BoundaryFunction, ScalarField, VectorField,
+from .fem import (BoundaryFunction, ScalarField, VectorField, _trace_mass,
                   assemble_boundary_mass, assemble_mass, assemble_stiffness,
                   boundary_integral, boundary_l2_norm, conormal_flux, gradient,
                   l2_inner, l2_norm, perp_gradient, scalar_l2_norm,
@@ -252,8 +252,7 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
     bv = m.boundary_vertices
     iv = m.interior_vertices
     K_ii = spla.splu(K[iv][:, iv].tocsc()) if len(iv) else None
-    B_bb = assemble_boundary_mass(m)[np.ix_(bv, bv)].tocsc()
-    B_lu = spla.splu(B_bb)
+    B_lu = spla.splu(_trace_mass(m).tocsc())
     M_lu = spla.splu(M)
     K_bi = K[bv][:, iv].tocsr()
     K_ib = K[iv][:, bv].tocsr()

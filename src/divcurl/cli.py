@@ -73,7 +73,15 @@ def _parse_gen(spec):
             if not value:
                 raise DivCurlError(f"bad generator parameter {item!r} in {spec!r}",
                                    code="BAD_GENERATOR")
-            params[key.strip()] = float(value)
+            name = key.strip()
+            try:
+                params[name] = float(value)
+            except ValueError:
+                params[name] = np.nan
+            if not np.isfinite(params[name]):
+                raise DivCurlError(
+                    f"generator parameter {name!r} in {spec!r} must be a finite "
+                    f"number, got {value!r}", code="BAD_GENERATOR", parameter=name)
     try:
         if kind == "square":
             n = int(params.get("n", 16))
@@ -515,6 +523,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.tol <= 0 or args.eig_tol <= 0:
         parser.error("tolerances must be positive")
+    if getattr(args, "k", 1) < 1:
+        parser.error("--k must be >= 1")
     try:
         return args.func(args)
     except DivCurlError as exc:

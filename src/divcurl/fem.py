@@ -261,6 +261,15 @@ def assemble_boundary_mass(m, subset=None):
     return mat
 
 
+def _trace_mass(m):
+    """Boundary mass restricted to ``m.boundary_vertices`` (rows and columns)."""
+    cache = _cache(m)
+    if "B_bb" not in cache:
+        bv = m.boundary_vertices
+        cache["B_bb"] = assemble_boundary_mass(m)[np.ix_(bv, bv)].tocsr()
+    return cache["B_bb"]
+
+
 # -- differential operators and inner products ------------------------
 
 
@@ -402,9 +411,8 @@ def project_boundary_function(mesh, f, tol=1e-12):
                           dtype=float)
         np.add.at(dual, be[:, 0], w * lengths * (1.0 - t) * vals)
         np.add.at(dual, be[:, 1], w * lengths * t * vals)
-    bv = mesh.boundary_vertices
-    b_sub = assemble_boundary_mass(mesh)[np.ix_(bv, bv)].tocsr()
-    g = solve_spd(b_sub, dual[bv], Constraint.none(), tol=tol)
+    g = solve_spd(_trace_mass(mesh), dual[mesh.boundary_vertices],
+                  Constraint.none(), tol=tol)
     return BoundaryFunction(mesh, g)
 
 
@@ -422,9 +430,8 @@ def conormal_flux(f, rho_dual, tol=1e-10):
     from .linsolve import Constraint, solve_spd
     m = f.mesh
     resid = assemble_stiffness(m) @ f.coeffs - np.asarray(rho_dual, dtype=float)
-    bv = m.boundary_vertices
-    b_sub = assemble_boundary_mass(m)[np.ix_(bv, bv)].tocsr()
-    g = solve_spd(b_sub, resid[bv], Constraint.none(), tol=tol)
+    g = solve_spd(_trace_mass(m), resid[m.boundary_vertices],
+                  Constraint.none(), tol=tol)
     return BoundaryFunction(m, g)
 
 
@@ -465,7 +472,10 @@ def load_field(path, mesh):
     if len(head) != 2 or head[0] not in ("$scalar", "$vector", "$boundary"):
         raise MeshError("expected '$scalar N', '$vector M' or '$boundary K' header",
                         code="MESH_FORMAT", line=n0)
-    count = int(head[1])
+    try:
+        count = int(head[1])
+    except ValueError:
+        raise MeshError(f"bad count in {head[0]} header", code="MESH_FORMAT", line=n0)
     body = tokens[1:]
     if len(body) != count:
         raise MeshError(f"expected {count} data lines, found {len(body)}",

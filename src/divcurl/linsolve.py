@@ -1,29 +1,37 @@
 """Constrained symmetric positive (semi-)definite solvers.
 
-``solve_spd`` is a Jacobi-preconditioned conjugate gradient iteration.
-Dirichlet constraints are imposed by row/column elimination; mean-type
-constraints are imposed by deflating the constants out of the right-hand
-side and of every preconditioned residual, which keeps the iteration on
-the subspace where the operator is positive definite.
+``solve_spd`` is a conjugate gradient iteration in double precision
+whose preconditioner is a single-precision sparse LU factorization of
+the constrained operator, i.e. mixed-precision iterative refinement: the
+CG loop certifies the double-precision residual, the LU makes it take a
+handful of steps.  Dirichlet constraints are imposed by row/column
+elimination; mean-type constraints are imposed by deflating the
+constants out of the right-hand side and of every preconditioned
+residual, with the operator factored with one node pinned.  Factors are
+cached for each (matrix object, constraint) and dropped when the matrix
+is garbage collected, so callers must not modify a matrix in place once
+it has been passed to ``solve_spd``.
 
 ``smallest_eigs`` computes the lowest eigenpairs of the pencil
 A x = lambda B x by shift-inverted subspace iteration: the iteration
 operator is (A + B)^-1 B (shift sigma = 1, which is nonsingular for
 every pencil used here even when A or B alone is singular), with
 Rayleigh-Ritz B-orthonormalization on the original pencil at every step.
-The inner solves use a cached sparse LU factorization.  Results are
-deterministic for a fixed seed.
+The inner solves use a double-precision sparse LU factorization.
+Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateBError, IncompatibleRHSError, NonConvergenceError
+from .errors import (DegenerateBError, IncompatibleRHSError, NonConvergenceError,
+                     SolverError)
 
 KIND_NONE = "NONE"
 KIND_DIRICHLET_ZERO = "DIRICHLET_ZERO"
@@ -75,15 +83,69 @@ def _free_mask(n, constraint):
     return mask
 
 
+# id(A) -> {constraint key: _Factor}; weakref.finalize drops an id's entry
+# when its matrix is collected, so an entry must not reference A itself.
+_factor_cache = {}
+
+
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """Constrained operator A_ff and a single-precision LU of it.
+
+    For mean-type constraints the LU is of A_ff with its last node pinned
+    to zero, which is nonsingular when the null space is the constants.
+    """
+
+    A_ff: object
+    lu: spla.SuperLU
+    pinned: bool
+
+    def apply(self, r):
+        # Scale to unit max-norm so single precision neither underflows
+        # nor overflows on tiny or huge residuals.
+        s = float(np.abs(r).max())
+        if s == 0.0:
+            return np.zeros_like(r)
+        rhs = (r[:-1] if self.pinned else r) / s
+        z = self.lu.solve(rhs.astype(np.float32)).astype(float) * s
+        return np.append(z, 0.0) if self.pinned else z
+
+
+def _factor(A, constraint, mask):
+    """Cached factor of A on the subspace selected by ``constraint``."""
+    key = (constraint.kind, constraint.nodes.tobytes()
+           if constraint.kind == KIND_DIRICHLET_ZERO else None)
+    per_matrix = _factor_cache.get(id(A))
+    if per_matrix is None:
+        per_matrix = _factor_cache[id(A)] = {}
+        weakref.finalize(A, _factor_cache.pop, id(A), None)
+    factor = per_matrix.get(key)
+    if factor is None:
+        if constraint.kind == KIND_DIRICHLET_ZERO:
+            A_ff = A[mask][:, mask].tocsr()
+        else:
+            A_ff = A.tocsr(copy=True)
+        pinned = constraint.kind in _MEAN_KINDS
+        P = A_ff[:-1, :-1] if pinned else A_ff
+        try:
+            lu = spla.splu(P.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(
+                f"cannot factor the {constraint.kind} constrained operator: {exc}")
+        factor = per_matrix[key] = _Factor(A_ff, lu, pinned)
+    return factor
+
+
 def solve_spd(A, b, constraint=None, tol=1e-10, max_iter=None, rhs_scale=None):
     """Solve A x = b on the constrained subspace by preconditioned CG.
 
     Returns x with relative residual <= tol there; the constraint is
     satisfied exactly (eliminated rows are exact zeros, the weighted mean
     is shifted out at the end).  Raises NonConvergenceError past
-    ``max_iter`` (default 10 n) and IncompatibleRHSError when a singular
+    ``max_iter`` (default 10 n), IncompatibleRHSError when a singular
     system's right-hand side has a constants component above
-    tol * max(||b||, rhs_scale).  Pass ``rhs_scale`` when b was assembled
+    tol * max(||b||, rhs_scale), and SolverError when the constrained
+    operator is singular.  Pass ``rhs_scale`` when b was assembled
     from data whose exact dual is zero, so pure roundoff is not mistaken
     for incompatibility.
     """
@@ -96,15 +158,9 @@ def solve_spd(A, b, constraint=None, tol=1e-10, max_iter=None, rhs_scale=None):
         max_iter = 10 * n
 
     mask = _free_mask(n, constraint)
-    if constraint.kind == KIND_DIRICHLET_ZERO:
-        A_ff = A[mask][:, mask].tocsr()
-        b_f = b[mask]
-    else:
-        A_ff = A.tocsr()
-        b_f = b.copy()
-
+    b_f = b[mask]
     deflate = constraint.kind in _MEAN_KINDS
-    nf = A_ff.shape[0]
+    nf = len(b_f)
     ones = np.ones(nf)
     if deflate:
         comp = abs(float(ones @ b_f)) / np.sqrt(nf)
@@ -116,10 +172,10 @@ def solve_spd(A, b, constraint=None, tol=1e-10, max_iter=None, rhs_scale=None):
                 f"{comp:.3e} > tol * scale = {tol * scale:.3e} on a singular system")
         b_f = b_f - (float(ones @ b_f) / nf) * ones
 
-    x_f = _pcg(A_ff, b_f, tol, max_iter, deflate)
-
     x = np.zeros(n)
-    x[mask] = x_f
+    if np.linalg.norm(b_f) > 0.0:
+        factor = _factor(A, constraint, mask)
+        x[mask] = _pcg(factor.A_ff, b_f, factor.apply, tol, max_iter, deflate)
     if deflate and constraint.weights is not None:
         w = constraint.weights
         total = float(w.sum())
@@ -128,13 +184,9 @@ def solve_spd(A, b, constraint=None, tol=1e-10, max_iter=None, rhs_scale=None):
     return x
 
 
-def _pcg(A, b, tol, max_iter, deflate):
+def _pcg(A, b, precondition, tol, max_iter, deflate):
     n = A.shape[0]
     scale = np.linalg.norm(b)
-    if scale == 0.0:
-        return np.zeros(n)
-    diag = A.diagonal().copy()
-    diag[diag <= 0.0] = 1.0
 
     def project(v):
         if deflate:
@@ -143,7 +195,7 @@ def _pcg(A, b, tol, max_iter, deflate):
 
     x = np.zeros(n)
     r = b.copy()
-    z = project(r / diag)
+    z = project(precondition(r))
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -161,7 +213,7 @@ def _pcg(A, b, tol, max_iter, deflate):
             project(r)
         if np.linalg.norm(r) <= tol * scale:
             return project(x) if deflate else x
-        z = project(r / diag)
+        z = project(precondition(r))
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -97,6 +97,11 @@ class Mesh:
         t = self.triangles
         be = self.boundary_edges
 
+        unused = np.flatnonzero(np.bincount(t.ravel(), minlength=len(p)) == 0)
+        if len(unused):
+            raise MeshError(f"vertex {int(unused[0])} is used by no triangle",
+                            code="MESH_TOPOLOGY", vertex=int(unused[0]))
+
         e1 = p[t[:, 1]] - p[t[:, 0]]
         e2 = p[t[:, 2]] - p[t[:, 0]]
         signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])

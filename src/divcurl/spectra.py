@@ -124,8 +124,10 @@ def steklov_basis(m, k, tol=1e-8, seed=0):
             f"requested {k} Steklov pairs but the boundary has {nb} vertices")
     cache = _cache(m)
     key = ("steklov", tol)
+    # The cache holds arrays only: a value referencing m would keep the
+    # weakly keyed mesh alive forever.
     cached = cache.get(key)
-    if cached is None or len(cached) < k:
+    if cached is None or len(cached[0]) < k:
         pairs = smallest_eigs(assemble_stiffness(m), assemble_boundary_mass(m), k,
                               Constraint.none(), tol=tol, seed=seed)
         basis = SteklovBasis(
@@ -133,10 +135,11 @@ def steklov_basis(m, k, tol=1e-8, seed=0):
             eigenvalues=np.asarray([ev for ev, _ in pairs]),
             fields=tuple(ScalarField(m, x) for _, x in pairs))
         basis.validate(eig_tol=max(tol, 1e-8))
-        cache[key] = basis
+        cache[key] = (basis.eigenvalues, tuple(f.coeffs for f in basis.fields))
         return basis
-    return SteklovBasis(mesh=m, eigenvalues=cached.eigenvalues[:k].copy(),
-                        fields=cached.fields[:k])
+    eigenvalues, coeffs = cached
+    return SteklovBasis(mesh=m, eigenvalues=eigenvalues[:k].copy(),
+                        fields=tuple(ScalarField(m, c) for c in coeffs[:k]))
 
 
 def _gamma_vertices(m, gamma_rows):

@@ -140,3 +140,35 @@ def test_bad_mesh_file_is_domain_error(tmp_path, capsys):
     assert code == 1
     assert report["code"] == "MESH_FORMAT"
     assert report["context"]["line"] == 1
+
+
+def exit_code(argv):
+    """main's return value, or the code of a usage error's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_bad_field_count_is_domain_error(tmp_path, capsys):
+    bad = tmp_path / "rho.txt"
+    bad.write_text("$scalar abc\n")
+    code = exit_code(["solve-normal", "--gen", "square:n=4", "--rho", str(bad),
+                      "--eta-nu", "const:0"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "MESH_FORMAT"
+    assert report["context"]["line"] == 1
+
+
+def test_bad_generator_number_is_domain_error(capsys):
+    code = exit_code(["mesh", "gen", "--gen", "square:n=abc"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "BAD_GENERATOR"
+    assert "'n'" in report["message"]
+
+
+def test_eig_k_zero_is_usage_error(capsys):
+    assert exit_code(["eig", "--gen", "square:n=4", "--k", "0"]) == 2
+    assert "--k" in capsys.readouterr().err

@@ -1,9 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import spsolve
 
 import divcurl as dc
+from divcurl import linsolve
 from divcurl.errors import (DegenerateBError, IncompatibleRHSError,
-                            NonConvergenceError)
+                            NonConvergenceError, SolverError)
 from divcurl.linsolve import Constraint, smallest_eigs, solve_spd
 
 
@@ -139,3 +145,115 @@ def test_eigs_degenerate_b_rejected(square):
     with pytest.raises(DegenerateBError):
         smallest_eigs(K, B, len(square.boundary_vertices) + 1,
                       Constraint.none(), tol=1e-8)
+
+
+# -- the cached single-precision factor ----------------------------------
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts the factorizations solve_spd makes; starts from an empty cache."""
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(linsolve, "_factor_cache", {})
+    return calls
+
+
+def test_repeated_solves_factor_once(square, splu_calls):
+    K = dc.assemble_stiffness(square).copy()
+    c = Constraint.dirichlet_zero(square.boundary_vertices)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        solve_spd(K, rng.standard_normal(K.shape[0]), c, tol=1e-12)
+    # an equal constraint built anew hits the same entry
+    solve_spd(K, rng.standard_normal(K.shape[0]),
+              Constraint.dirichlet_zero(square.boundary_vertices[::-1]), tol=1e-12)
+    assert len(splu_calls) == 1
+
+
+def test_dirichlet_node_sets_get_separate_factors(square, splu_calls):
+    K = dc.assemble_stiffness(square).copy()
+    bv = square.boundary_vertices
+    rng = np.random.default_rng(4)
+    for nodes in (bv, bv[: len(bv) // 2], bv):
+        solve_spd(K, rng.standard_normal(K.shape[0]),
+                  Constraint.dirichlet_zero(nodes), tol=1e-12)
+    assert len(splu_calls) == 2
+    assert len(linsolve._factor_cache[id(K)]) == 2
+
+
+def test_factor_dropped_with_its_matrix(square, splu_calls):
+    K = dc.assemble_stiffness(square).copy()
+    solve_spd(K, np.random.default_rng(5).standard_normal(K.shape[0]),
+              Constraint.dirichlet_zero(square.boundary_vertices), tol=1e-12)
+    assert len(linsolve._factor_cache) == 1
+    del K
+    gc.collect()
+    assert linsolve._factor_cache == {}
+
+
+def _reference(A, b, constraint):
+    """Float64 direct solution of the constrained system."""
+    n = A.shape[0]
+    x = np.zeros(n)
+    A = A.tocsc()
+    if constraint.kind == "DIRICHLET_ZERO":
+        free = np.setdiff1d(np.arange(n), constraint.nodes)
+        x[free] = spsolve(A[free][:, free], b[free])
+    elif constraint.kind == "MEAN_ZERO":
+        x[:-1] = spsolve(A[:-1, :-1], (b - b.mean())[:-1])
+        w = constraint.weights
+        x -= (w @ x) / w.sum()
+    else:
+        x = spsolve(A, b)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["DIRICHLET_ZERO", "MEAN_ZERO", "NONE"])
+def test_agrees_with_float64_direct_solve(square_fine, kind):
+    K = dc.assemble_stiffness(square_fine)
+    M = dc.assemble_mass(square_fine)
+    rng = np.random.default_rng(6)
+    if kind == "DIRICHLET_ZERO":
+        A, c = K, Constraint.dirichlet_zero(square_fine.boundary_vertices)
+        b = M @ rng.standard_normal(A.shape[0])
+    elif kind == "MEAN_ZERO":
+        A, c = K, Constraint.mean_zero(M @ np.ones(M.shape[0]))
+        b = K @ rng.standard_normal(A.shape[0])
+    else:
+        A, c = M, Constraint.none()
+        b = rng.standard_normal(A.shape[0])
+    tol = 1e-10
+    x = solve_spd(A, b, c, tol=tol)
+    ref = _reference(A, b, c)
+    # a relative residual <= tol bounds the relative error by cond(A) * tol
+    assert np.linalg.norm(x - ref) <= 1e3 * tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+def test_mean_constraints_hold_exactly(square, boundary):
+    K = dc.assemble_stiffness(square)
+    W = dc.assemble_boundary_mass(square) if boundary else dc.assemble_mass(square)
+    w = W @ np.ones(W.shape[0])
+    c = Constraint.boundary_mean_zero(w) if boundary else Constraint.mean_zero(w)
+    b = K @ np.random.default_rng(7).standard_normal(K.shape[0])
+    x = solve_spd(K, b, c, tol=1e-12)
+    assert abs(w @ x) <= 1e-12 * np.abs(w * x).sum()
+    r = K @ x - b
+    assert np.linalg.norm(r - r.mean()) <= 1e-12 * np.linalg.norm(b - b.mean())
+
+
+def test_singular_operator_is_solver_error():
+    # an isolated vertex appended to a mesh's stiffness: its row is empty
+    m = dc.generate_rectangle(2, 2, 1.0, 1.0)
+    K = sp.block_diag([dc.assemble_stiffness(m), sp.csr_matrix((1, 1))]).tocsr()
+    b = np.ones(K.shape[0])
+    with pytest.raises(SolverError) as err:
+        solve_spd(K, b, Constraint.dirichlet_zero(m.boundary_vertices))
+    assert err.value.code == "SOLVER_FAILURE"

@@ -231,3 +231,12 @@ def test_partition_from_tags_and_validation(square):
         dc.BoundaryPartition(square, frozenset(), frozenset(range(nb)))
     with pytest.raises(MeshError):
         dc.BoundaryPartition(square, frozenset({0, 1}), frozenset(range(nb)))
+
+
+def test_unreferenced_vertex_rejected():
+    m = dc.generate_rectangle(2, 2, 1.0, 1.0)
+    vertices = np.vstack([m.vertices, [[5.0, 5.0]]])
+    with pytest.raises(MeshError) as err:
+        dc.Mesh(vertices, m.triangles, m.boundary_edges)
+    assert err.value.code == "MESH_TOPOLOGY"
+    assert err.value.context["vertex"] == len(m.vertices)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,22 @@ def test_quantities_rotation_invariant(square):
     ]
     for a, b in pairs:
         assert abs(a - b) <= 1e-8 * abs(a)
+
+
+def test_caches_release_a_dropped_mesh(monkeypatch):
+    from conftest import random_boundary, random_scalar, shift_to_normal_compat
+    from divcurl import bvp, linsolve
+
+    monkeypatch.setattr(linsolve, "_factor_cache", {})
+    m = dc.generate_rectangle(6, 6, 1.0, 1.0)
+    rng = np.random.default_rng(0)
+    rho = random_scalar(m, rng)
+    eta = shift_to_normal_compat(m, rho, random_boundary(m, rng))
+    sol = bvp.solve_normal(bvp.DivCurlData(m, rho, random_scalar(m, rng), eta_nu=eta))
+    basis = dc.steklov_basis(m, 3)
+    assert linsolve._factor_cache
+    ref = weakref.ref(m)
+    del m, rho, eta, sol, basis
+    gc.collect()
+    assert ref() is None
+    assert linsolve._factor_cache == {}
