@@ -6,13 +6,17 @@ component (a gradient or perp-gradient of a harmonic potential) matches
 the boundary data.  Alongside the field every solver evaluates the
 corresponding discrete energy bound with this mesh's own eigenvalues,
 so the reported inequality is a theorem of the discretization rather
-than an approximation of a continuum constant.
+than an approximation of a continuum constant.  The tangential problem
+is the normal problem of the field rotated by 90 degrees.
+
+Matrices, spectral constants and ``C0`` come from the mesh's one
+per-mesh cache, so repeated solves on a mesh reuse them and all of it
+is freed with the mesh.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -154,12 +158,20 @@ def check_compat_tangential(omega, eta_tau):
     return volume_integral(omega) - boundary_integral(eta_tau)
 
 
-def _compat_scale(rho, eta):
-    """Tolerance scale |rho|_L1 + |eta|_L1 + floor, via interpolated moduli."""
-    m = rho.mesh
-    l1_rho = float(np.sum(assemble_mass(m) @ np.abs(rho.coeffs)))
+def _require_compat(condition, residual, eta, compat_tol, source=None):
+    """Raise IncompatibleDataError naming ``condition`` when |residual|
+    exceeds compat_tol times |source|_L1 + |eta|_L1 + floor (interpolated
+    moduli; a missing source counts as zero)."""
+    m = eta.mesh
+    l1_source = (float(np.sum(assemble_mass(m) @ np.abs(source.coeffs)))
+                 if source is not None else 0.0)
     l1_eta = float(np.sum(assemble_boundary_mass(m) @ np.abs(eta.extended())))
-    return l1_rho + l1_eta + 1e-300
+    scale = l1_source + l1_eta + 1e-300
+    if abs(residual) > compat_tol * scale:
+        raise IncompatibleDataError(
+            f"{condition} violated: residual = {residual:.6e} "
+            f"(tolerance {compat_tol * scale:.3e})",
+            condition=condition, residual=residual)
 
 
 # -- scalar building blocks --------------------------------------------
@@ -185,13 +197,7 @@ def solve_neumann_fem(eta, tol=1e-10, compat_tol=1e-9):
     exceed compat_tol times the L1 scale of eta.
     """
     m = eta.mesh
-    resid = boundary_integral(eta)
-    scale = float(np.sum(assemble_boundary_mass(m) @ np.abs(eta.extended()))) + 1e-300
-    if abs(resid) > compat_tol * scale:
-        raise IncompatibleDataError(
-            f"{COMPAT_NEUMANN} violated: residual = {resid:.6e} "
-            f"(tolerance {compat_tol * scale:.3e})",
-            condition=COMPAT_NEUMANN, residual=resid)
+    _require_compat(COMPAT_NEUMANN, boundary_integral(eta), eta, compat_tol)
     M = assemble_mass(m)
     b = assemble_boundary_mass(m) @ eta.extended()
     chi = solve_spd(assemble_stiffness(m), b,
@@ -213,12 +219,7 @@ def solve_neumann_steklov(eta, terms, basis, compat_tol=1e-9):
         raise InsufficientBasisError(
             f"series with {terms} terms needs {terms + 1} Steklov pairs, "
             f"basis has {len(basis)}")
-    resid = boundary_integral(eta)
-    scale = float(np.sum(assemble_boundary_mass(m) @ np.abs(eta.extended()))) + 1e-300
-    if abs(resid) > compat_tol * scale:
-        raise IncompatibleDataError(
-            f"{COMPAT_NEUMANN} violated: residual = {resid:.6e}",
-            condition=COMPAT_NEUMANN, residual=resid)
+    _require_compat(COMPAT_NEUMANN, boundary_integral(eta), eta, compat_tol)
     coeffs = np.zeros(len(m.vertices))
     if terms > 0:
         hat = basis.boundary_coefficients(eta)
@@ -229,9 +230,7 @@ def solve_neumann_steklov(eta, terms, basis, compat_tol=1e-9):
     return ScalarField(m, coeffs)
 
 
-# -- spectral constants cache -------------------------------------------
-
-_c0_cache = weakref.WeakKeyDictionary()
+# -- spectral constants ---------------------------------------------------
 
 
 def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
@@ -240,8 +239,11 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
     Measures the largest ratio ||flux of the zero-trace Poisson
     solution||_L2(ds) / ||source||_L2 over the P1 source space, by power
     iteration on the composed self-adjoint operator (deterministic seed).
+    The value is kept on the mesh per seed and reused for any tolerance no
+    tighter than the one it was computed at.
     """
-    cached = _c0_cache.get(m)
+    key = ("C0", seed)
+    cached = m._cache.get(key)
     if cached is not None and cached[1] <= tol:
         return cached[0]
 
@@ -298,16 +300,8 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
             f"power iteration for the flux operator norm did not settle in "
             f"{max_iter} sweeps", iterations=max_iter)
     c0 = float(np.sqrt(max(value, 0.0)))
-    _c0_cache[m] = (c0, tol)
+    m._cache[key] = (c0, tol)
     return c0
-
-
-def _constants(m, eig_tol):
-    lam1 = dirichlet_lambda1(m, tol=eig_tol)
-    basis = steklov_basis(m, 2, tol=eig_tol)
-    delta1 = float(basis.eigenvalues[1])
-    c0 = estimate_C0(m, tol=min(1e-6, eig_tol * 100))
-    return lam1, delta1, c0
 
 
 # -- the three boundary value problems ----------------------------------
@@ -334,12 +328,7 @@ def solve_normal(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
     rho, omega = data.rho_or_zero(), data.omega_or_zero()
     eta_nu = data.eta_nu_or_zero()
     residual = check_compat_normal(rho, eta_nu)
-    scale = _compat_scale(rho, eta_nu)
-    if abs(residual) > compat_tol * scale:
-        raise IncompatibleDataError(
-            f"{COMPAT_NORMAL} violated: residual = {residual:.6e} "
-            f"(tolerance {compat_tol * scale:.3e})",
-            condition=COMPAT_NORMAL, residual=residual)
+    _require_compat(COMPAT_NORMAL, residual, eta_nu, compat_tol, source=rho)
 
     phi0 = solve_dirichlet_poisson(rho, tol=tol)
     psi0 = solve_dirichlet_poisson(omega, tol=tol)
@@ -352,7 +341,9 @@ def solve_normal(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
         chi = solve_neumann_steklov(eta_total, steklov_terms, basis, compat_tol=1.0)
     v = perp_gradient(psi0) - gradient(phi0) + gradient(chi)
 
-    lam1, delta1, c0 = _constants(m, eig_tol)
+    lam1 = dirichlet_lambda1(m, tol=eig_tol)
+    delta1 = float(steklov_basis(m, 2, tol=eig_tol).eigenvalues[1])
+    c0 = estimate_C0(m, tol=min(1e-6, eig_tol * 100))
     norm_rho, norm_omega = scalar_l2_norm(rho), scalar_l2_norm(omega)
     terms = {
         "lambda1_term": (norm_rho + norm_omega) / np.sqrt(lam1),
@@ -372,50 +363,37 @@ def solve_tangential(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
     """Least-energy solution with the tangential component prescribed on
     all of the boundary.
 
-    Mirror of the normal problem: the pure-flux potential now feeds a
-    perp-gradient, v = perp_grad(psi0) - grad(phi0) - perp_grad(chi).
-    The bound replaces ||rho|| by ||omega|| in the flux term; the report
-    also carries the alternative reading that keeps a (zero) eta_nu norm
-    there, since only the tangential data enters this construction.
+    Solved as the normal problem for the rotated field w = (-v2, v1):
+    div w = -curl v, curl w = div v, w.nu = -v.tau and ||w|| = ||v||, so
+    the data (rho, omega, eta_tau) become (-omega, rho, -eta_tau), and
+    v = (w2, -w1) = perp_grad(psi0) - grad(phi0) - perp_grad(chi).  The
+    normal bound of w is the tangential bound of v term for term, with
+    ||omega|| in the flux term.  The report also carries the alternative
+    reading that keeps a (zero) eta_nu norm there, since only the
+    tangential data enters this construction.
     """
     m = data.mesh
     rho, omega = data.rho_or_zero(), data.omega_or_zero()
     eta_tau = data.eta_tau_or_zero()
     residual = check_compat_tangential(omega, eta_tau)
-    scale = _compat_scale(omega, eta_tau)
-    if abs(residual) > compat_tol * scale:
-        raise IncompatibleDataError(
-            f"{COMPAT_TANGENTIAL} violated: residual = {residual:.6e} "
-            f"(tolerance {compat_tol * scale:.3e})",
-            condition=COMPAT_TANGENTIAL, residual=residual)
+    _require_compat(COMPAT_TANGENTIAL, residual, eta_tau, compat_tol, source=omega)
 
-    phi0 = solve_dirichlet_poisson(rho, tol=tol)
-    psi0 = solve_dirichlet_poisson(omega, tol=tol)
-    g = conormal_flux(psi0, assemble_mass(m) @ omega.coeffs, tol=tol)
-    eta_total = eta_tau + g
-    if steklov_terms is None:
-        chi = solve_neumann_fem(eta_total, tol=tol, compat_tol=1.0)
-    else:
-        basis = steklov_basis(m, steklov_terms + 1, tol=eig_tol)
-        chi = solve_neumann_steklov(eta_total, steklov_terms, basis, compat_tol=1.0)
-    v = perp_gradient(psi0) - gradient(phi0) - perp_gradient(chi)
-
-    lam1, delta1, c0 = _constants(m, eig_tol)
-    norm_rho, norm_omega = scalar_l2_norm(rho), scalar_l2_norm(omega)
+    rot = solve_normal(DivCurlData(m, rho=-omega, omega=data.rho, eta_nu=-eta_tau),
+                       tol=tol, compat_tol=compat_tol, eig_tol=eig_tol,
+                       steklov_terms=steklov_terms)
     eta_nu_norm = (boundary_l2_norm(data.eta_nu)
                    if data.eta_nu is not None else 0.0)
-    terms = {
-        "lambda1_term": (norm_rho + norm_omega) / np.sqrt(lam1),
-        "delta1_term": boundary_l2_norm(eta_tau) / np.sqrt(delta1),
-        "C0_term": c0 * norm_omega / np.sqrt(delta1),
-    }
-    report = _make_report(
-        "tangential", l2_norm(v), terms,
-        notes={"lambda1": lam1, "delta1": delta1, "C0": c0,
-               "compat_residual": residual,
-               "delta1_term_eta_nu_reading": eta_nu_norm / np.sqrt(delta1)})
-    return DivCurlSolution(v=v, report=report, phi=phi0, psi=psi0, chi=chi,
-                           flux=g, compat_residual=residual)
+    report = replace(rot.report, kind="tangential", notes={
+        **rot.report.notes, "compat_residual": float(residual),
+        "delta1_term_eta_nu_reading":
+            float(eta_nu_norm / np.sqrt(rot.report.notes["delta1"]))})
+    # Negate as 0 - x so that exact zeros come back as 0.0, not -0.0.
+    w = rot.v.values
+    zeros = ScalarField.zeros(m)
+    return DivCurlSolution(
+        v=VectorField(m, np.column_stack([w[:, 1], 0.0 - w[:, 0]])), report=report,
+        phi=rot.psi, psi=zeros - rot.phi, chi=zeros - rot.chi,
+        flux=BoundaryFunction.zeros(m) - rot.flux, compat_residual=residual)
 
 
 def solve_mixed(data, tol=1e-10, eig_tol=1e-8):

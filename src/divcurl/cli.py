@@ -120,7 +120,11 @@ def _parse_arcs(m, spec):
         if len(parts) != 3:
             raise DivCurlError(f"bad arc {item!r}; expected loop:start:count",
                                code="BAD_ARC")
-        loop, start, count = (int(v) for v in parts)
+        try:
+            loop, start, count = (int(v) for v in parts)
+        except ValueError:
+            raise DivCurlError(f"bad arc {item!r}; loop, start and count must be "
+                               "integers", code="BAD_ARC", arc=item) from None
         if loop < 0 or loop >= len(m.loops):
             raise DivCurlError(f"arc {item!r}: loop {loop} does not exist",
                                code="BAD_ARC")
@@ -132,12 +136,20 @@ def _parse_arcs(m, spec):
     return rows
 
 
+def _parse_const(spec):
+    """The number of a ``const:<value>`` data flag."""
+    try:
+        return float(spec.split(":", 1)[1])
+    except ValueError:
+        raise DivCurlError(f"bad constant {spec!r}; expected const:<number>",
+                           code="BAD_FIELD", value=spec) from None
+
+
 def _parse_scalar(m, spec):
     if spec is None:
         return None
     if spec.startswith("const:"):
-        value = float(spec.split(":", 1)[1])
-        return ScalarField(m, np.full(len(m.vertices), value))
+        return ScalarField(m, np.full(len(m.vertices), _parse_const(spec)))
     field = load_field(spec, m)
     if not isinstance(field, ScalarField):
         raise DivCurlError(f"{spec} does not hold a scalar field", code="BAD_FIELD")
@@ -148,8 +160,7 @@ def _parse_boundary(m, spec):
     if spec is None:
         return None
     if spec.startswith("const:"):
-        value = float(spec.split(":", 1)[1])
-        return BoundaryFunction(m, np.full(len(m.boundary_vertices), value))
+        return BoundaryFunction(m, np.full(len(m.boundary_vertices), _parse_const(spec)))
     field = load_field(spec, m)
     if not isinstance(field, BoundaryFunction):
         raise DivCurlError(f"{spec} does not hold a boundary function",
@@ -525,6 +536,10 @@ def main(argv=None):
         parser.error("tolerances must be positive")
     if getattr(args, "k", 1) < 1:
         parser.error("--k must be >= 1")
+    if (getattr(args, "steklov_terms", None) or 0) < 0:
+        parser.error("--steklov-terms must be >= 0")
+    if getattr(args, "levels", 1) < 1:
+        parser.error("--levels must be >= 1")
     try:
         return args.func(args)
     except DivCurlError as exc:

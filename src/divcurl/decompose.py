@@ -38,13 +38,20 @@ class Projection(NamedTuple):
     field: VectorField
 
 
-def _mean_zero_constraint(m):
-    M = assemble_mass(m)
-    return Constraint.mean_zero(M @ np.ones(M.shape[0]))
-
-
-def _zero_trace_constraint(m):
-    return Constraint.dirichlet_zero(m.boundary_vertices)
+def _project(v, perp, zero_trace, tol):
+    """Fit v by -grad (perp=False) or perp_grad (perp=True) of a P1 potential
+    that has zero trace or, otherwise, mean zero; returns both."""
+    m = v.mesh
+    if zero_trace:
+        constraint, rhs_scale = Constraint.dirichlet_zero(m.boundary_vertices), None
+    else:
+        M = assemble_mass(m)
+        constraint, rhs_scale = Constraint.mean_zero(M @ np.ones(M.shape[0])), l2_norm(v)
+    load = load_perp(v) if perp else -load_grad(v)
+    potential = ScalarField(m, solve_spd(assemble_stiffness(m), load, constraint,
+                                         tol=tol, rhs_scale=rhs_scale))
+    return Projection(potential,
+                      perp_gradient(potential) if perp else -gradient(potential))
 
 
 def project_G(v, tol=1e-10):
@@ -53,38 +60,22 @@ def project_G(v, tol=1e-10):
     phi_v is the mean-zero potential minimizing ||v + grad(phi)||; the
     projected field is -grad(phi_v) and is never longer than v.
     """
-    m = v.mesh
-    phi = solve_spd(assemble_stiffness(m), -load_grad(v),
-                    _mean_zero_constraint(m), tol=tol, rhs_scale=l2_norm(v))
-    phi_field = ScalarField(m, phi)
-    return Projection(phi_field, -gradient(phi_field))
+    return _project(v, perp=False, zero_trace=False, tol=tol)
 
 
 def project_G0(v, tol=1e-10):
     """Projection onto gradients of zero-trace potentials."""
-    m = v.mesh
-    phi = solve_spd(assemble_stiffness(m), -load_grad(v),
-                    _zero_trace_constraint(m), tol=tol)
-    phi_field = ScalarField(m, phi)
-    return Projection(phi_field, -gradient(phi_field))
+    return _project(v, perp=False, zero_trace=True, tol=tol)
 
 
 def project_C(v, tol=1e-10):
     """Best approximation of v by perp-gradients; returns (psi_v, perp_grad)."""
-    m = v.mesh
-    psi = solve_spd(assemble_stiffness(m), load_perp(v),
-                    _mean_zero_constraint(m), tol=tol, rhs_scale=l2_norm(v))
-    psi_field = ScalarField(m, psi)
-    return Projection(psi_field, perp_gradient(psi_field))
+    return _project(v, perp=True, zero_trace=False, tol=tol)
 
 
 def project_C0(v, tol=1e-10):
     """Projection onto perp-gradients of zero-trace potentials."""
-    m = v.mesh
-    psi = solve_spd(assemble_stiffness(m), load_perp(v),
-                    _zero_trace_constraint(m), tol=tol)
-    psi_field = ScalarField(m, psi)
-    return Projection(psi_field, perp_gradient(psi_field))
+    return _project(v, perp=True, zero_trace=True, tol=tol)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

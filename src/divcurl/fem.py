@@ -10,7 +10,6 @@ for these spaces.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,17 +184,6 @@ class BoundaryFunction:
 
 # -- assembly ----------------------------------------------------------
 
-_matrix_cache = weakref.WeakKeyDictionary()
-
-
-def _cache(mesh):
-    entry = _matrix_cache.get(mesh)
-    if entry is None:
-        entry = {}
-        _matrix_cache[mesh] = entry
-    return entry
-
-
 def _scatter_symmetric(local, rows_of, n):
     """Assemble per-element symmetric blocks into CSR and symmetrize exactly."""
     nloc = local.shape[1]
@@ -211,7 +199,7 @@ def assemble_stiffness(m):
     Exact for P1 (constant gradients per triangle); symmetric positive
     semi-definite with null space = constants on a connected mesh.
     """
-    cache = _cache(m)
+    cache = m._cache
     if "K" not in cache:
         g = m.hat_gradients
         local = np.einsum("tid,tjd->tij", g, g) * m.areas[:, None, None]
@@ -221,7 +209,7 @@ def assemble_stiffness(m):
 
 def assemble_mass(m):
     """Volume mass matrix with the exact P1 pattern area/12 (area/6 diagonal)."""
-    cache = _cache(m)
+    cache = m._cache
     if "M" not in cache:
         pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
         local = m.areas[:, None, None] * pattern
@@ -238,7 +226,7 @@ def assemble_boundary_mass(m, subset=None):
     (exact P1 edge pattern length/6, length/3 diagonal).
     """
     if subset is None:
-        cache = _cache(m)
+        cache = m._cache
         if "B" in cache:
             return cache["B"]
         rows = np.arange(len(m.boundary_edges))
@@ -257,13 +245,13 @@ def assemble_boundary_mass(m, subset=None):
     local = lengths[:, None, None] * pattern
     mat = _scatter_symmetric(local, m.boundary_edges[rows, :2], n)
     if subset is None:
-        _cache(m)["B"] = mat
+        m._cache["B"] = mat
     return mat
 
 
 def _trace_mass(m):
     """Boundary mass restricted to ``m.boundary_vertices`` (rows and columns)."""
-    cache = _cache(m)
+    cache = m._cache
     if "B_bb" not in cache:
         bv = m.boundary_vertices
         cache["B_bb"] = assemble_boundary_mass(m)[np.ix_(bv, bv)].tocsr()
@@ -324,15 +312,20 @@ def boundary_integral(eta, subset=None):
     return float(np.sum(b @ eta.extended()))
 
 
-def load_grad(v):
-    """Dual vector d_i = integral of grad(hat_i) . v (exact P0 x P0)."""
-    m = v.mesh
-    contrib = np.einsum("tid,td->ti", m.hat_gradients, v.values) * m.areas[:, None]
+def _scatter_to_vertices(m, contrib):
+    """Sum per-corner triangle values, shape (nt, 3), into one value per vertex."""
     n = len(m.vertices)
     d = np.zeros(n)
     for i in range(3):
         d += np.bincount(m.triangles[:, i], weights=contrib[:, i], minlength=n)
     return d
+
+
+def load_grad(v):
+    """Dual vector d_i = integral of grad(hat_i) . v (exact P0 x P0)."""
+    m = v.mesh
+    contrib = np.einsum("tid,td->ti", m.hat_gradients, v.values) * m.areas[:, None]
+    return _scatter_to_vertices(m, contrib)
 
 
 def load_perp(v):
@@ -353,10 +346,8 @@ def lift_piecewise_constant(mesh, values, tol=1e-12):
     if values.shape != (len(mesh.triangles),):
         raise MeshError("values must hold one number per triangle")
     contrib = (mesh.areas / 3.0) * values
-    n = len(mesh.vertices)
-    dual = np.zeros(n)
-    for i in range(3):
-        dual += np.bincount(mesh.triangles[:, i], weights=contrib, minlength=n)
+    dual = _scatter_to_vertices(mesh, np.broadcast_to(contrib[:, None],
+                                                      (len(contrib), 3)))
     return ScalarField(mesh, solve_spd(assemble_mass(mesh), dual,
                                        Constraint.none(), tol=tol))
 
@@ -457,6 +448,19 @@ def save_field(field, path):
             raise TypeError(f"cannot save {type(field).__name__}")
 
 
+def _data_rows(kind, body, convert):
+    """``convert`` applied to the tokens of every (line, tokens) data line; a
+    missing or malformed token is a MeshError naming its line."""
+    rows = []
+    for n, parts in body:
+        try:
+            rows.append(convert(parts))
+        except (ValueError, IndexError):
+            raise MeshError(f"malformed {kind} data line {' '.join(parts)!r}",
+                            code="MESH_FORMAT", line=n) from None
+    return rows
+
+
 def load_field(path, mesh):
     """Read a field file written by ``save_field`` and attach it to ``mesh``."""
     with open(path) as fh:
@@ -485,22 +489,22 @@ def load_field(path, mesh):
         if count != len(mesh.vertices):
             raise MeshError("scalar field length does not match the mesh",
                             code="MESH_FORMAT", line=n0)
-        return ScalarField(mesh, [float(parts[0]) for _, parts in body])
+        return ScalarField(mesh, _data_rows(kind, body, lambda p: float(p[0])))
     if kind == "$vector":
         if count != len(mesh.triangles):
             raise MeshError("vector field length does not match the mesh",
                             code="MESH_FORMAT", line=n0)
-        return VectorField(mesh, [[float(parts[0]), float(parts[1])]
-                                  for _, parts in body])
+        return VectorField(mesh, _data_rows(kind, body,
+                                            lambda p: [float(p[0]), float(p[1])]))
     values = np.zeros(len(mesh.boundary_vertices))
     seen = np.zeros(len(mesh.boundary_vertices), dtype=bool)
-    for n, parts in body:
-        idx = int(parts[0])
+    entries = _data_rows(kind, body, lambda p: (int(p[0]), float(p[1])))
+    for (n, _), (idx, value) in zip(body, entries):
         pos = mesh.boundary_vertex_position[idx] if 0 <= idx < len(mesh.vertices) else -1
         if pos < 0:
             raise MeshError(f"vertex {idx} is not a boundary vertex",
                             code="MESH_INDEX", line=n)
-        values[pos] = float(parts[1])
+        values[pos] = value
         seen[pos] = True
     if not seen.all():
         raise MeshError("boundary function does not cover all boundary vertices",

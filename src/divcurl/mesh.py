@@ -195,6 +195,12 @@ class Mesh:
     # -- derived geometry (cached; the mesh is immutable) -------------
 
     @cached_property
+    def _cache(self):
+        """Operators and constants derived from this mesh by fem, spectra and
+        bvp; stored on the instance, so they are freed with it."""
+        return {}
+
+    @cached_property
     def areas(self):
         """Triangle areas, (nt,)."""
         p, t = self.vertices, self.triangles

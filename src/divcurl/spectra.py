@@ -9,7 +9,6 @@ both the equation and the complementary boundary condition.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,6 @@ __all__ = [
     "SteklovBasis", "dirichlet_lambda1", "neumann_lambda_m",
     "steklov_basis", "mixed_lambda1", "m2_gamma",
 ]
-
-_spectra_cache = weakref.WeakKeyDictionary()
-
-
-def _cache(mesh):
-    entry = _spectra_cache.get(mesh)
-    if entry is None:
-        entry = {}
-        _spectra_cache[mesh] = entry
-    return entry
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class SteklovBasis:
@@ -87,8 +75,8 @@ class SteklovBasis:
 
 def dirichlet_lambda1(m, tol=1e-8, seed=0):
     """Smallest eigenvalue of K x = lambda M x with zero boundary values."""
-    cache = _cache(m)
-    key = ("lambda1", tol)
+    cache = m._cache
+    key = ("lambda1", tol, seed)
     if key not in cache:
         pairs = smallest_eigs(
             assemble_stiffness(m), assemble_mass(m), 1,
@@ -99,8 +87,8 @@ def dirichlet_lambda1(m, tol=1e-8, seed=0):
 
 def neumann_lambda_m(m, tol=1e-8, seed=0):
     """First nonzero eigenvalue of K x = lambda M x (mean-free subspace)."""
-    cache = _cache(m)
-    key = ("lambda_m", tol)
+    cache = m._cache
+    key = ("lambda_m", tol, seed)
     if key not in cache:
         M = assemble_mass(m)
         pairs = smallest_eigs(
@@ -122,10 +110,10 @@ def steklov_basis(m, k, tol=1e-8, seed=0):
     if k > nb:
         raise DegenerateBError(
             f"requested {k} Steklov pairs but the boundary has {nb} vertices")
-    cache = _cache(m)
-    key = ("steklov", tol)
-    # The cache holds arrays only: a value referencing m would keep the
-    # weakly keyed mesh alive forever.
+    cache = m._cache
+    key = ("steklov", tol, seed)
+    # The cache holds arrays only: a value referencing m would form a cycle
+    # that keeps the mesh alive until the cycle collector runs.
     cached = cache.get(key)
     if cached is None or len(cached[0]) < k:
         pairs = smallest_eigs(assemble_stiffness(m), assemble_boundary_mass(m), k,
@@ -163,8 +151,8 @@ def mixed_lambda1(m, gamma, tol=1e-8, seed=0):
     problem.
     """
     rows, verts = _gamma_vertices(m, gamma)
-    cache = _cache(m)
-    key = ("mixed", tuple(rows.tolist()), tol)
+    cache = m._cache
+    key = ("mixed", tuple(rows.tolist()), tol, seed)
     if key not in cache:
         complement = sorted(set(range(len(m.boundary_edges))) - set(rows.tolist()))
         B = (assemble_mass(m) + assemble_boundary_mass(m, complement)).tocsr()

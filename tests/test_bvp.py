@@ -255,6 +255,34 @@ def test_tangential_rejects_incompatible(square):
     assert "curl-circulation balance" in err.value.condition
 
 
+def test_tangential_incompatible_keeps_its_residual_sign(square):
+    data = dc.DivCurlData(mesh=square, omega=ones_scalar(square) * -1.0,
+                          eta_tau=dc.BoundaryFunction.zeros(square))
+    with pytest.raises(IncompatibleDataError) as err:
+        bvp.solve_tangential(data)
+    assert err.value.condition == bvp.COMPAT_TANGENTIAL
+    assert err.value.residual == pytest.approx(-1.0, rel=1e-12)
+    assert "tolerance" in str(err.value)
+
+
+def test_tangential_is_the_rotated_normal_problem(annulus):
+    # w = (-v2, v1) turns (rho, omega, eta_tau) into (-omega, rho, -eta_tau).
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        rho, omega = random_scalar(annulus, rng), random_scalar(annulus, rng)
+        eta = shift_to_tangential_compat(annulus, omega, random_boundary(annulus, rng))
+        tan = bvp.solve_tangential(
+            dc.DivCurlData(mesh=annulus, rho=rho, omega=omega, eta_tau=eta))
+        nor = bvp.solve_normal(
+            dc.DivCurlData(mesh=annulus, rho=-omega, omega=rho, eta_nu=-eta))
+        w = nor.v.values
+        assert np.array_equal(tan.v.values, np.column_stack([w[:, 1], -w[:, 0]]))
+        assert tan.report.terms == nor.report.terms
+        assert tan.report.lhs == nor.report.lhs
+        assert tan.report.kind == "tangential"
+        assert tan.compat_residual == bvp.check_compat_tangential(omega, eta)
+
+
 def test_tangential_sharpness(square):
     basis = dc.steklov_basis(square, 2, tol=1e-11)
     eta = dc.trace(basis.fields[1]) * (-float(basis.eigenvalues[1]))
@@ -380,6 +408,23 @@ def test_estimate_c0_scaling():
     a = bvp.estimate_C0(dc.generate_rectangle(12, 12, 1.0, 1.0), tol=1e-8)
     b = bvp.estimate_C0(dc.generate_rectangle(12, 12, 2.0, 2.0), tol=1e-8)
     assert abs(b / a - np.sqrt(2.0)) < 0.05 * np.sqrt(2.0)
+
+
+def test_estimate_c0_cache_is_keyed_on_seed(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    m = dc.generate_rectangle(6, 6, 1.0, 1.0)
+    c0 = bvp.estimate_C0(m, seed=0)
+    first = len(calls)
+    assert first > 0
+    assert bvp.estimate_C0(m, seed=0) == c0
+    assert len(calls) == first
+    c1 = bvp.estimate_C0(m, seed=1)
+    assert len(calls) > first
+    assert abs(c1 - c0) <= 1e-6 * c0
 
 
 def test_least_energy_no_holes_trivial(square):

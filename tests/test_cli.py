@@ -161,6 +161,51 @@ def test_bad_field_count_is_domain_error(tmp_path, capsys):
     assert report["context"]["line"] == 1
 
 
+@pytest.mark.parametrize("flag", ["--rho", "--eta-nu"])
+def test_bad_const_is_domain_error(flag, capsys):
+    code = exit_code(["solve-normal", "--gen", "square:n=4", "--eta-nu", "const:0",
+                      flag, "const:abc"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "BAD_FIELD"
+    assert "const:abc" in report["message"]
+
+
+def test_bad_arc_number_is_domain_error(capsys):
+    code = exit_code(["solve-mixed", "--gen", "square:n=4", "--gamma-nu", "a:b:c"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "BAD_ARC"
+    assert "a:b:c" in report["message"]
+
+
+def _field_lines(m, kind):
+    """Header and valid data lines of a zero field of the given kind on m."""
+    if kind == "scalar":
+        return f"$scalar {len(m.vertices)}", ["0.0"] * len(m.vertices)
+    if kind == "vector":
+        return f"$vector {len(m.triangles)}", ["0.0 0.0"] * len(m.triangles)
+    return (f"$boundary {len(m.boundary_vertices)}",
+            [f"{i} 0.0" for i in m.boundary_vertices])
+
+
+@pytest.mark.parametrize("kind, bad, argv", [
+    ("scalar", "abc", ["solve-normal", "--eta-nu", "const:0", "--rho"]),
+    ("boundary", "x 0.0", ["solve-normal", "--eta-nu"]),
+    ("vector", "0.5", ["decompose", "--field"]),
+])
+def test_bad_field_data_line_is_domain_error(kind, bad, argv, tmp_path, capsys):
+    header, lines = _field_lines(dc.generate_rectangle(4, 4, 1.0, 1.0), kind)
+    lines[3] = bad
+    path = tmp_path / f"{kind}.txt"
+    path.write_text("\n".join([header] + lines) + "\n")
+    code = exit_code(argv[:1] + ["--gen", "square:n=4"] + argv[1:] + [str(path)])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "MESH_FORMAT"
+    assert report["context"]["line"] == 5
+
+
 def test_bad_generator_number_is_domain_error(capsys):
     code = exit_code(["mesh", "gen", "--gen", "square:n=abc"])
     assert code == 1
@@ -172,3 +217,14 @@ def test_bad_generator_number_is_domain_error(capsys):
 def test_eig_k_zero_is_usage_error(capsys):
     assert exit_code(["eig", "--gen", "square:n=4", "--k", "0"]) == 2
     assert "--k" in capsys.readouterr().err
+
+
+def test_negative_steklov_terms_is_usage_error(capsys):
+    assert exit_code(["solve-tangential", "--gen", "square:n=4",
+                      "--steklov-terms", "-1"]) == 2
+    assert "--steklov-terms" in capsys.readouterr().err
+
+
+def test_zero_convergence_levels_is_usage_error(capsys):
+    assert exit_code(["convergence", "--case", "poisson", "--levels", "0"]) == 2
+    assert "--levels" in capsys.readouterr().err

@@ -133,8 +133,34 @@ def test_quantities_rotation_invariant(square):
         assert abs(a - b) <= 1e-8 * abs(a)
 
 
+def test_spectral_caches_are_keyed_on_seed(monkeypatch):
+    from divcurl import spectra
+
+    seeds = []
+    smallest_eigs = spectra.smallest_eigs
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return smallest_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "smallest_eigs", counting)
+    m = dc.generate_rectangle(6, 6, 1.0, 1.0)
+    gamma = set(m.loops[0][:8].tolist())
+    for compute in (lambda seed: dc.dirichlet_lambda1(m, seed=seed),
+                    lambda seed: dc.neumann_lambda_m(m, seed=seed),
+                    lambda seed: dc.steklov_basis(m, 3, seed=seed).eigenvalues[1],
+                    lambda seed: dc.mixed_lambda1(m, gamma, seed=seed)):
+        seeds.clear()
+        a = compute(0)
+        assert compute(0) == a and seeds == [0]
+        b = compute(1)
+        assert seeds == [0, 1]
+        assert abs(b - a) <= 1e-6 * abs(a)
+
+
 def test_caches_release_a_dropped_mesh(monkeypatch):
-    from conftest import random_boundary, random_scalar, shift_to_normal_compat
+    from conftest import (random_boundary, random_scalar, shift_to_normal_compat,
+                          shift_to_tangential_compat)
     from divcurl import bvp, linsolve
 
     monkeypatch.setattr(linsolve, "_factor_cache", {})
@@ -144,9 +170,13 @@ def test_caches_release_a_dropped_mesh(monkeypatch):
     eta = shift_to_normal_compat(m, rho, random_boundary(m, rng))
     sol = bvp.solve_normal(bvp.DivCurlData(m, rho, random_scalar(m, rng), eta_nu=eta))
     basis = dc.steklov_basis(m, 3)
+    eta_tau = shift_to_tangential_compat(m, rho, random_boundary(m, rng))
+    tan = bvp.solve_tangential(bvp.DivCurlData(m, random_scalar(m, rng), rho,
+                                               eta_tau=eta_tau))
+    c0 = bvp.estimate_C0(m, seed=3)
     assert linsolve._factor_cache
     ref = weakref.ref(m)
-    del m, rho, eta, sol, basis
+    del m, rho, eta, sol, basis, eta_tau, tan, c0
     gc.collect()
     assert ref() is None
     assert linsolve._factor_cache == {}
