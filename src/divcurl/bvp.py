@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .errors import (EmptyPartitionPieceError, IncompatibleDataError,
                      InsufficientBasisError, NonConvergenceError)
@@ -237,25 +238,26 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
     """Discrete operator norm of the source-to-boundary-flux map.
 
     Measures the largest ratio ||flux of the zero-trace Poisson
-    solution||_L2(ds) / ||source||_L2 over the P1 source space, by power
-    iteration on the composed self-adjoint operator (deterministic seed).
-    The value is kept on the mesh per seed and reused for any tolerance no
-    tighter than the one it was computed at.
+    solution||_L2(ds) / ||source||_L2 over the P1 source space: the root
+    of the largest eigenvalue of the self-adjoint pencil (R^T B^-1 R, M),
+    found by ARPACK's Lanczos iteration from a seeded start vector.
+    ``max_iter`` bounds its restarts.  The value is kept on the mesh per
+    seed and reused for any tolerance no tighter than the one it was
+    computed at.
     """
     key = ("C0", seed)
     cached = m._cache.get(key)
     if cached is not None and cached[1] <= tol:
         return cached[0]
 
-    import scipy.sparse.linalg as spla
-
     K = assemble_stiffness(m).tocsr()
     M = assemble_mass(m).tocsc()
     bv = m.boundary_vertices
     iv = m.interior_vertices
-    K_ii = spla.splu(K[iv][:, iv].tocsc()) if len(iv) else None
-    B_lu = spla.splu(_trace_mass(m).tocsc())
-    M_lu = spla.splu(M)
+    K_ii = (spla.splu(K[iv][:, iv].tocsc(), permc_spec="MMD_AT_PLUS_A")
+            if len(iv) else None)
+    B_lu = spla.splu(_trace_mass(m).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    M_lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A")
     K_bi = K[bv][:, iv].tocsr()
     K_ib = K[iv][:, bv].tocsr()
     M_full = M.tocsr()
@@ -278,27 +280,19 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
         full[iv] = K_ii.solve(K_ib @ w)
         return M_full @ full - M_full @ wb
 
+    n = len(m.vertices)
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal(len(m.vertices))
-    r /= np.sqrt(float(r @ (M_full @ r)))
-    value = 0.0
-    for _ in range(max_iter):
-        w = B_lu.solve(apply_R(r))
-        z = apply_Rt(w)
-        new_value = float(r @ z)  # = ||flux||^2_B for M-normalized r
-        r_next = M_lu.solve(z)
-        nrm = np.sqrt(float(r_next @ (M_full @ r_next)))
-        if nrm == 0.0:
-            break
-        r = r_next / nrm
-        if value > 0.0 and abs(new_value - value) <= 1e-3 * tol * new_value:
-            value = new_value
-            break
-        value = new_value
-    else:
+    try:
+        value = spla.eigsh(
+            spla.LinearOperator((n, n), dtype=float,
+                                matvec=lambda r: apply_Rt(B_lu.solve(apply_R(r)))),
+            k=1, M=M_full, which="LA", v0=rng.standard_normal(n),
+            Minv=spla.LinearOperator((n, n), dtype=float, matvec=M_lu.solve),
+            tol=1e-3 * tol, maxiter=max_iter, return_eigenvectors=False)[0]
+    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
         raise NonConvergenceError(
-            f"power iteration for the flux operator norm did not settle in "
-            f"{max_iter} sweeps", iterations=max_iter)
+            f"Lanczos iteration for the flux operator norm did not converge in "
+            f"{max_iter} restarts: {exc}", iterations=max_iter) from None
     c0 = float(np.sqrt(max(value, 0.0)))
     m._cache[key] = (c0, tol)
     return c0

@@ -136,31 +136,36 @@ def _parse_arcs(m, spec):
     return rows
 
 
-def _parse_const(spec):
-    """The number of a ``const:<value>`` data flag."""
+def _parse_const(spec, flag):
+    """The finite number of a ``const:<value>`` data flag."""
     try:
-        return float(spec.split(":", 1)[1])
+        value = float(spec.split(":", 1)[1])
     except ValueError:
-        raise DivCurlError(f"bad constant {spec!r}; expected const:<number>",
-                           code="BAD_FIELD", value=spec) from None
+        value = np.nan
+    if not np.isfinite(value):
+        raise DivCurlError(
+            f"bad constant {spec!r} for {flag}; expected const:<finite number>",
+            code="BAD_FIELD", flag=flag, value=spec)
+    return value
 
 
-def _parse_scalar(m, spec):
+def _parse_scalar(m, spec, flag):
     if spec is None:
         return None
     if spec.startswith("const:"):
-        return ScalarField(m, np.full(len(m.vertices), _parse_const(spec)))
+        return ScalarField(m, np.full(len(m.vertices), _parse_const(spec, flag)))
     field = load_field(spec, m)
     if not isinstance(field, ScalarField):
         raise DivCurlError(f"{spec} does not hold a scalar field", code="BAD_FIELD")
     return field
 
 
-def _parse_boundary(m, spec):
+def _parse_boundary(m, spec, flag):
     if spec is None:
         return None
     if spec.startswith("const:"):
-        return BoundaryFunction(m, np.full(len(m.boundary_vertices), _parse_const(spec)))
+        return BoundaryFunction(m, np.full(len(m.boundary_vertices),
+                                           _parse_const(spec, flag)))
     field = load_field(spec, m)
     if not isinstance(field, BoundaryFunction):
         raise DivCurlError(f"{spec} does not hold a boundary function",
@@ -284,10 +289,10 @@ def _cmd_solve(args):
     m = _get_mesh(args)
     data = bvp.DivCurlData(
         mesh=m,
-        rho=_parse_scalar(m, args.rho),
-        omega=_parse_scalar(m, args.omega),
-        eta_nu=_parse_boundary(m, args.eta_nu),
-        eta_tau=_parse_boundary(m, args.eta_tau),
+        rho=_parse_scalar(m, args.rho, "--rho"),
+        omega=_parse_scalar(m, args.omega, "--omega"),
+        eta_nu=_parse_boundary(m, args.eta_nu, "--eta-nu"),
+        eta_tau=_parse_boundary(m, args.eta_tau, "--eta-tau"),
         partition=_partition(m, args) if args.problem == "mixed" else None)
     if args.problem == "normal":
         sol = bvp.solve_normal(data, tol=args.tol, eig_tol=args.eig_tol,
@@ -536,6 +541,8 @@ def main(argv=None):
         parser.error("tolerances must be positive")
     if getattr(args, "k", 1) < 1:
         parser.error("--k must be >= 1")
+    if getattr(args, "draws", 1) < 1:
+        parser.error("--draws must be >= 1")
     if (getattr(args, "steklov_terms", None) or 0) < 0:
         parser.error("--steklov-terms must be >= 0")
     if getattr(args, "levels", 1) < 1:

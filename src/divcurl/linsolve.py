@@ -13,12 +13,11 @@ is garbage collected, so callers must not modify a matrix in place once
 it has been passed to ``solve_spd``.
 
 ``smallest_eigs`` computes the lowest eigenpairs of the pencil
-A x = lambda B x by shift-inverted subspace iteration: the iteration
-operator is (A + B)^-1 B (shift sigma = 1, which is nonsingular for
-every pencil used here even when A or B alone is singular), with
-Rayleigh-Ritz B-orthonormalization on the original pencil at every step.
-The inner solves use a double-precision sparse LU factorization.
-Results are deterministic for a fixed seed.
+A x = lambda B x with ARPACK's shift-invert Lanczos (scipy's ``eigsh``;
+Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) on a
+double-precision sparse LU of A + B, the shift sigma = -1 being
+nonsingular for every pencil used here even when A or B alone is
+singular.  Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -229,9 +228,21 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
     pairs returned live on the B-nondegenerate subspace.  Eigenvalues are
     nondecreasing, eigenvectors B-orthonormal, and each vector's
     largest-magnitude coefficient is made positive so expansions are
-    reproducible.  Raises DegenerateBError when the B-positive subspace
-    has dimension < k and NonConvergenceError past ``max_iter`` subspace
-    iterations.
+    reproducible.
+
+    ARPACK's shift-invert Lanczos (sigma = -1) finds the pairs, one more
+    application of (A + B)^-1 B purifies its vectors of components that B
+    does not see, and Rayleigh-Ritz on the original pencil gives the
+    result; for k within one of the B-positive dimension Rayleigh-Ritz
+    runs over that whole subspace instead.  Lanczos from one start vector
+    can miss a copy of a repeated eigenvalue, so for k >= 2 a Sturm count
+    checks that none below the k-th is missing, and Lanczos on the
+    B-orthogonal complement of the pairs found looks for those that are.
+    Every pair must pass a relative residual test with a roundoff floor.
+    Raises DegenerateBError when the B-positive subspace has dimension
+    < k, SolverError when a shifted pencil cannot be factored, and
+    NonConvergenceError past ``max_iter`` ARPACK restarts, on a Sturm
+    count that is not met or on a failed residual test.
     """
     constraint = constraint or Constraint.none()
     k = int(k)
@@ -248,78 +259,96 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
 
     # Mass-type B: its positive-diagonal count bounds the nondegenerate
     # subspace dimension.
-    b_rank_bound = int(np.count_nonzero(B_ff.diagonal() > 0.0))
+    b_positive = np.flatnonzero(B_ff.diagonal() > 0.0)
     deflate = constraint.kind in _MEAN_KINDS
-    avail = b_rank_bound - (1 if deflate else 0)
+    avail = len(b_positive) - (1 if deflate else 0)
     if avail < k:
         raise DegenerateBError(
             f"requested {k} eigenpairs but the B-positive subspace has "
             f"dimension at most {avail}")
 
-    block = min(max(2 * k, k + 8), avail)
-    op = spla.splu((A_ff + B_ff).tocsc())
-
-    def b_mul(X):
-        return B_ff @ X
-
-    ones = np.ones(nf)
-    b_ones = B_ff @ ones
-    ones_b = float(ones @ b_ones)
-
-    def deflate_cols(X):
-        if deflate and ones_b > 0.0:
-            X -= np.outer(ones, (b_ones @ X) / ones_b)
-        return X
-
+    lu = _shifted_lu(A_ff, B_ff, -1.0)
+    b_ones = B_ff @ np.ones(nf)
+    ones_b = float(b_ones.sum())
     rng = np.random.default_rng(seed)
-    X = deflate_cols(rng.standard_normal((nf, block)))
+    X = np.zeros((nf, 0))
+
+    def project(Y):
+        # Remove the constants (mean constraints) and the pairs already
+        # found, B-orthogonally.
+        if deflate and ones_b > 0.0:
+            Y -= (b_ones @ Y) / ones_b
+        if X.shape[1]:
+            Y -= X @ (X.T @ (B_ff @ Y))
+        return Y
+
+    need = k
+    for _ in range(k):
+        whole = need >= avail - X.shape[1] - 1
+        if whole:
+            # ARPACK needs ncv > need directions that B sees; the columns
+            # of B at its positive-diagonal nodes span everything it sees.
+            Y = project(lu.solve(B_ff[:, b_positive].toarray()))
+        else:
+            try:
+                _, V = spla.eigsh(
+                    A_ff, need, M=B_ff, sigma=-1.0, which="LM",
+                    OPinv=spla.LinearOperator((nf, nf), dtype=float,
+                                              matvec=lambda x: project(lu.solve(x))),
+                    v0=project(rng.standard_normal(nf)), rng=rng,
+                    ncv=min(max(2 * need + 1, 20), avail - X.shape[1]),
+                    tol=1e-2 * tol, maxiter=max_iter)
+            except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+                raise NonConvergenceError(
+                    f"shift-invert Lanczos did not converge in {max_iter} "
+                    f"restarts: {exc}", iterations=max_iter) from None
+            # ARPACK's vectors carry roundoff in the null space of B; one
+            # more application of the shift-inverted operator removes it.
+            Y = project(lu.solve(B_ff @ V))
+        # Rayleigh-Ritz over span(X, Y) with B-orthonormalization;
+        # directions degenerate in B are dropped.
+        Y = np.column_stack([X, Y])
+        Br = Y.T @ (B_ff @ Y)
+        s, Q = sla.eigh(0.5 * (Br + Br.T))
+        keep = s > max(s[-1], 0.0) * 1e-12
+        if np.count_nonzero(keep) < k:
+            raise DegenerateBError(
+                "eigenvector subspace has fewer than k B-positive directions")
+        Z = Y @ (Q[:, keep] / np.sqrt(s[keep]))
+        Ar = Z.T @ (A_ff @ Z)
+        theta, C = sla.eigh(0.5 * (Ar + Ar.T))
+        theta, X = theta[:k], Z @ C[:, :k]
+        # Eigenvalues within the residual tolerance of the k-th may be
+        # either side of it.
+        mu = theta[-1] * (1.0 - 10.0 * tol)
+        if whole or k < 2 or mu <= 0.0:
+            break
+        need = (_count_below(A_ff, B_ff, mu) - (1 if deflate else 0)
+                - int(np.count_nonzero(theta < mu)))
+        if need <= 0:
+            break
+    else:
+        raise NonConvergenceError(
+            f"{need} eigenvalue(s) below {mu:.6g} were not found", iterations=k)
 
     # Roundoff floor for the residual test: a zero eigenvalue has
     # ||Ax|| ~ |lambda| ||Bx|| ~ 0, where a purely relative criterion
     # can never be met in floating point.
-    a_scale = float(np.abs(A_ff.diagonal()).max()) if nf else 1.0
-    b_scale = float(np.abs(B_ff.diagonal()).max()) if nf else 1.0
+    a_scale = float(np.abs(A_ff.diagonal()).max())
+    b_scale = float(np.abs(B_ff.diagonal()).max())
     eps_floor = 64.0 * np.finfo(float).eps
-
-    theta = None
-    for _ in range(max_iter):
-        Y = deflate_cols(op.solve(b_mul(X)))
-        # Rayleigh-Ritz on the original pencil over span(Y) with
-        # B-orthonormalization; directions degenerate in B are dropped.
-        Br = Y.T @ b_mul(Y)
-        Br = 0.5 * (Br + Br.T)
-        s, Q = sla.eigh(Br)
-        keep = s > max(s[-1], 0.0) * 1e-12
-        if np.count_nonzero(keep) < k:
-            raise DegenerateBError(
-                "iteration subspace degenerated below k B-positive directions")
-        W = Q[:, keep] / np.sqrt(s[keep])
-        Z = Y @ W
-        Ar = Z.T @ (A_ff @ Z)
-        Ar = 0.5 * (Ar + Ar.T)
-        theta, C = sla.eigh(Ar)
-        X = Z @ C
-
-        resid_ok = True
-        for j in range(k):
-            ax = A_ff @ X[:, j]
-            bx = B_ff @ X[:, j]
-            r = np.linalg.norm(ax - theta[j] * bx)
-            bound = tol * (np.linalg.norm(ax) + abs(theta[j]) * np.linalg.norm(bx))
-            floor = eps_floor * (a_scale + abs(theta[j]) * b_scale) * \
-                np.linalg.norm(X[:, j])
-            if r > max(bound, floor):
-                resid_ok = False
-                break
-        if resid_ok:
-            break
-    else:
-        raise NonConvergenceError(
-            f"subspace iteration did not converge in {max_iter} sweeps",
-            iterations=max_iter)
-
     pairs = []
     for j in range(k):
+        ax = A_ff @ X[:, j]
+        bx = B_ff @ X[:, j]
+        r = np.linalg.norm(ax - theta[j] * bx)
+        bound = max(tol * (np.linalg.norm(ax) + abs(theta[j]) * np.linalg.norm(bx)),
+                    eps_floor * (a_scale + abs(theta[j]) * b_scale)
+                    * np.linalg.norm(X[:, j]))
+        if r > bound:
+            raise NonConvergenceError(
+                f"eigenpair {j} failed the residual test: {r:.3e} > {bound:.3e}",
+                residual=float(r))
         x = np.zeros(n)
         x[mask] = X[:, j]
         i_max = int(np.argmax(np.abs(x)))
@@ -327,3 +356,26 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
             x = -x
         pairs.append((float(theta[j]), x))
     return pairs
+
+
+def _shifted_lu(A, B, sigma, **options):
+    """Double-precision LU of A - sigma B; SolverError when it is singular."""
+    try:
+        return spla.splu((A - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A", **options)
+    except RuntimeError as exc:
+        raise SolverError(f"cannot factor A - ({sigma:g}) B: {exc}") from None
+
+
+def _count_below(A, B, mu):
+    """Number of eigenvalues of A x = lambda B x below mu (a Sturm count).
+
+    By Sylvester's law of inertia it is the number of negative pivots of
+    the symmetric factorization of A - mu B, taken without off-diagonal
+    pivoting.  Eigenvalues at infinity (B singular, A positive definite
+    there) add positive pivots only.
+    """
+    lu = _shifted_lu(A, B, mu, diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(f"A - ({mu:g}) B has a zero pivot; no Sturm count")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))

@@ -101,9 +101,10 @@ def neumann_lambda_m(m, tol=1e-8, seed=0):
 def steklov_basis(m, k, tol=1e-8, seed=0):
     """First k Steklov eigenpairs of K x = delta B x, including delta_0 = 0.
 
-    Solved by shift-inverted subspace iteration on the pencil
-    (K + B, B); B is the boundary mass and is singular on interior
-    vertices, so the iteration lives on the boundary-trace subspace.
+    Solved by ``smallest_eigs``, shift-invert Lanczos on (K, B) with
+    shift -1; B is the boundary mass and is singular on interior
+    vertices, so the pairs live on the boundary-trace subspace and the
+    interior values are their discrete harmonic extensions.
     """
     k = int(k)
     nb = len(m.boundary_vertices)

@@ -55,3 +55,24 @@ def shift_to_tangential_compat(m, omega, eta):
     res = bvp.check_compat_tangential(omega, eta)
     return eta + dc.BoundaryFunction(
         m, np.full(len(m.boundary_vertices), res / m.perimeter))
+
+
+def dense_pencil(A, B, free=None):
+    """All eigenpairs of A x = lambda B x on the nodes ``free`` by dense eigh.
+
+    Nodes where B's diagonal vanishes (e.g. the interior for a boundary
+    mass) are eliminated by a Schur complement, so only finite eigenvalues
+    are returned; the eigenvectors are B-orthonormal and harmonic-extended
+    to the eliminated nodes.
+    """
+    import scipy.linalg as sla
+    A, B = A.toarray(), B.toarray()
+    if free is not None:
+        A, B = A[np.ix_(free, free)], B[np.ix_(free, free)]
+    p = np.diag(B) > 0.0
+    z = ~p
+    X = sla.solve(A[np.ix_(z, z)], A[np.ix_(z, p)]) if z.any() else np.zeros((0, p.sum()))
+    values, Vp = sla.eigh(A[np.ix_(p, p)] - A[np.ix_(p, z)] @ X, B[np.ix_(p, p)])
+    V = np.zeros((len(A), len(values)))
+    V[p], V[z] = Vp, -X @ Vp
+    return values, V

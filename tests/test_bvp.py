@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import divcurl as dc
 from divcurl import bvp
 from divcurl.errors import (EmptyPartitionPieceError, IncompatibleDataError,
-                            InsufficientBasisError)
+                            InsufficientBasisError, NonConvergenceError)
 from divcurl.fem import project_boundary_function
 from conftest import (random_boundary, random_scalar,
                       shift_to_normal_compat, shift_to_tangential_compat)
@@ -425,6 +426,30 @@ def test_estimate_c0_cache_is_keyed_on_seed(monkeypatch):
     c1 = bvp.estimate_C0(m, seed=1)
     assert len(calls) > first
     assert abs(c1 - c0) <= 1e-6 * c0
+
+
+
+@pytest.mark.parametrize("m", [dc.generate_rectangle(6, 6, 1.0, 1.0),
+                               dc.generate_annulus(0.5, 1.0, 2, 16)],
+                         ids=["square", "annulus"])
+def test_estimate_c0_matches_dense_reference(m):
+    # C0^2 is the largest eigenvalue of (R^T B^-1 R, M), with R r the
+    # boundary dual of the flux of the zero-trace Poisson solution for r.
+    K, M = dc.assemble_stiffness(m).toarray(), dc.assemble_mass(m).toarray()
+    bv, iv = m.boundary_vertices, m.interior_vertices
+    R = K[np.ix_(bv, iv)] @ np.linalg.solve(K[np.ix_(iv, iv)], M[iv]) - M[bv]
+    Bb = dc.assemble_boundary_mass(m).toarray()[np.ix_(bv, bv)]
+    top = sla.eigh(R.T @ np.linalg.solve(Bb, R), M, eigvals_only=True)[-1]
+    tol = 1e-8
+    assert abs(bvp.estimate_C0(m, tol=tol) ** 2 - top) <= tol * top
+
+
+def test_estimate_c0_restart_limit_is_nonconvergence():
+    # a long thin strip needs more than one Lanczos restart for C0
+    m = dc.generate_rectangle(60, 3, 20.0, 1.0)
+    with pytest.raises(NonConvergenceError) as err:
+        bvp.estimate_C0(m, max_iter=1)
+    assert err.value.iterations == 1
 
 
 def test_least_energy_no_holes_trivial(square):

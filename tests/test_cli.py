@@ -5,6 +5,7 @@ import pytest
 
 import divcurl as dc
 from divcurl.cli import main
+from conftest import dense_pencil
 
 
 def run(capsys, *argv):
@@ -228,3 +229,34 @@ def test_negative_steklov_terms_is_usage_error(capsys):
 def test_zero_convergence_levels_is_usage_error(capsys):
     assert exit_code(["convergence", "--case", "poisson", "--levels", "0"]) == 2
     assert "--levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_nonpositive_draws_is_usage_error(draws, capsys):
+    assert exit_code(["verify-bounds", "--gen", "square:n=4", "--draws", draws]) == 2
+    assert "--draws" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_const_is_bad_field(value, capsys):
+    code = exit_code(["solve-normal", "--gen", "square:n=4", "--eta-nu", "const:0",
+                      "--rho", f"const:{value}"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "BAD_FIELD"
+    assert report["context"] == {"flag": "--rho", "value": f"const:{value}"}
+    assert "--rho" in report["message"] and f"const:{value}" in report["message"]
+
+
+def test_eig_small_mesh_matches_dense_reference(capsys):
+    # k = 16 is every boundary vertex of square:n=4: the whole trace space
+    m = dc.generate_rectangle(4, 4, 1.0, 1.0)
+    K, M = dc.assemble_stiffness(m), dc.assemble_mass(m)
+    steklov, _ = dense_pencil(K, dc.assemble_boundary_mass(m))
+    dirichlet, _ = dense_pencil(K, M, m.interior_vertices)
+    for which, k, expect in (("steklov", "16", steklov), ("lambda1", "9", dirichlet[:1])):
+        code, report = run(capsys, "eig", "--gen", "square:n=4", "--which", which,
+                           "--k", k)
+        assert code == 0
+        values = np.asarray([row["value"] for row in report["table"]])
+        assert np.abs(values - expect).max() <= 1e-8 * max(1.0, expect.max())

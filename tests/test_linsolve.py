@@ -11,6 +11,7 @@ from divcurl import linsolve
 from divcurl.errors import (DegenerateBError, IncompatibleRHSError,
                             NonConvergenceError, SolverError)
 from divcurl.linsolve import Constraint, smallest_eigs, solve_spd
+from conftest import dense_pencil
 
 
 def test_mass_solve_recovers_constants(square):
@@ -257,3 +258,65 @@ def test_singular_operator_is_solver_error():
     with pytest.raises(SolverError) as err:
         solve_spd(K, b, Constraint.dirichlet_zero(m.boundary_vertices))
     assert err.value.code == "SOLVER_FAILURE"
+
+
+# -- dense references for the eigen solver ----------------------------------
+
+
+@pytest.fixture(scope="module", params=["square", "annulus"])
+def small_mesh(request):
+    if request.param == "square":
+        return dc.generate_rectangle(6, 6, 1.0, 1.0)
+    return dc.generate_annulus(0.5, 1.0, 2, 16)
+
+
+def _pencil(m, name):
+    """(A, B, constraint, free nodes, dense pairs skipped) of a named pencil."""
+    K, M = dc.assemble_stiffness(m), dc.assemble_mass(m)
+    if name == "dirichlet":
+        return K, M, Constraint.dirichlet_zero(m.boundary_vertices), m.interior_vertices, 0
+    if name == "mean_zero":
+        # the zero eigenvalue (constants) is deflated away
+        return K, M, Constraint.mean_zero(M @ np.ones(M.shape[0])), None, 1
+    if name == "steklov":
+        return K, dc.assemble_boundary_mass(m), Constraint.none(), None, 0
+    ne = len(m.boundary_edges)
+    gamma = np.unique(m.boundary_edges[: ne // 2, :2])
+    B = (M + dc.assemble_boundary_mass(m, list(range(ne // 2, ne)))).tocsr()
+    free = np.setdiff1d(np.arange(len(m.vertices)), gamma)
+    return K, B, Constraint.dirichlet_zero(gamma), free, 0
+
+
+@pytest.mark.parametrize("name", ["dirichlet", "mean_zero", "steklov", "mixed"])
+def test_eigs_match_dense_reference(small_mesh, name):
+    A, B, constraint, free, skip = _pencil(small_mesh, name)
+    values, V = dense_pencil(A, B, free)
+    Bf = B.toarray() if free is None else B.toarray()[np.ix_(free, free)]
+    avail = len(values) - skip
+    tol = 1e-8
+    # On the square, k = 5 of the mean-zero pencil needs both copies of
+    # the double eigenvalue lambda_4 = lambda_5, and Lanczos alone finds
+    # one; avail - 2 is the largest k ARPACK runs for, and k = avail
+    # takes the whole B-positive subspace.
+    for k in (1, 2, 5, avail - 2, avail):
+        pairs = smallest_eigs(A, B, k, constraint, tol=tol)
+        theta = np.asarray([v for v, _ in pairs])
+        expect = values[skip:skip + k]
+        assert np.all(np.abs(theta - expect) <= tol * np.maximum(1.0, expect)), k
+        X = np.column_stack([x for _, x in pairs])
+        X = X if free is None else X[free]
+        assert np.abs(X.T @ Bf @ X - np.eye(k)).max() < 1e-8
+        for j in range(k):
+            # inside a cluster only the spanned subspace is defined
+            cluster = V[:, np.abs(values - theta[j]) <= 1e-4 * max(1.0, theta[j])]
+            x = X[:, j]
+            off = x - cluster @ (cluster.T @ (Bf @ x))
+            assert np.abs(off).max() <= 1e-6 * np.abs(x).max(), (k, j)
+
+
+def test_eigs_restart_limit_is_nonconvergence(square):
+    K, M = dc.assemble_stiffness(square), dc.assemble_mass(square)
+    with pytest.raises(NonConvergenceError) as err:
+        smallest_eigs(K, M, 6, Constraint.dirichlet_zero(square.boundary_vertices),
+                      max_iter=1)
+    assert err.value.iterations == 1
