@@ -14,14 +14,14 @@ Galerkin solves.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
-from .errors import (CirculationDetectedError, MeshError,
-                     NotSimplyConnectedError, SolverError)
+from .errors import CirculationDetectedError, NotSimplyConnectedError, SolverError
 from .fem import (ScalarField, VectorField, assemble_mass, assemble_stiffness,
                   gradient, l2_inner, l2_norm, load_grad, load_perp, perp_gradient)
 from .linsolve import Constraint, solve_spd
@@ -195,16 +195,10 @@ def _edge_line_integrals(v, kind):
         w = np.column_stack([-v.values[:, 1], v.values[:, 0]])
     else:
         raise ValueError("kind must be 'grad' or 'curl'")
-    ne = len(m.edges)
-    acc = np.zeros((ne, 2))
-    count = np.zeros(ne)
-    t = m.triangles
-    for i in range(3):
-        a, b = t[:, i], t[:, (i + 1) % 3]
-        ids = np.asarray([m.edge_id(x, y) for x, y in zip(a, b)])
-        np.add.at(acc, ids, w)
-        np.add.at(count, ids, 1.0)
-    avg = acc / count[:, None]
+    sides = m.triangle_edges.ravel()
+    acc = np.column_stack([np.bincount(sides, weights=np.repeat(w[:, k], 3),
+                                       minlength=len(m.edges)) for k in range(2)])
+    avg = acc / m.edge_counts[:, None]
     d = m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]]
     return np.einsum("ed,ed->e", avg, d)
 
@@ -226,32 +220,31 @@ def poincare_potential(v, kind="grad", tol=1e-8):
             f"(found {m.num_holes} hole(s))")
     w = _edge_line_integrals(v, kind)
 
-    nv = len(m.vertices)
-    adj = [[] for _ in range(nv)]
-    for e, (a, b) in enumerate(m.edges):
-        adj[int(a)].append((int(b), e, 1.0))
-        adj[int(b)].append((int(a), e, -1.0))
+    # Breadth-first spanning tree from vertex 0, neighbours in ascending
+    # order; Mesh guarantees that it reaches every vertex.
+    nv, edges = len(m.vertices), m.edges
+    ends = np.concatenate([edges, edges[:, ::-1]])
+    graph = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(nv, nv))
+    order, pred = csgraph.breadth_first_order(graph, 0, return_predecessors=True)
+    child = order[1:]
+    parent = pred[child]
+    tree = m.edge_id(parent, child)
+    step = np.where(parent < child, w[tree], -w[tree])
+    # Root-first, each value is its parent's plus one step: the sum of the
+    # tree path's line integrals, added in path order.
+    values = [0.0] * nv
+    for c, a, dv in zip(child.tolist(), parent.tolist(), step.tolist()):
+        values[c] = values[a] + dv
+    values = np.asarray(values)
+    in_tree = np.zeros(len(edges), dtype=bool)
+    in_tree[tree] = True
 
-    values = np.full(nv, np.nan)
-    values[0] = 0.0
-    in_tree = np.zeros(len(m.edges), dtype=bool)
-    queue = deque([0])
-    while queue:
-        a = queue.popleft()
-        for b, e, sign in adj[a]:
-            if np.isnan(values[b]):
-                values[b] = values[a] + sign * w[e]
-                in_tree[e] = True
-                queue.append(b)
-    if np.isnan(values).any():
-        raise MeshError("mesh is not edge-connected", code="MESH_TOPOLOGY")
-
-    gap = np.abs(values[m.edges[:, 0]] + w - values[m.edges[:, 1]])
+    gap = np.abs(values[edges[:, 0]] + w - values[edges[:, 1]])
     gap[in_tree] = 0.0
     worst = int(np.argmax(gap))
     threshold = tol * max(l2_norm(v), 1e-300) * m.h_max
     if gap[worst] > threshold:
-        a, b = m.edges[worst]
+        a, b = edges[worst]
         raise CirculationDetectedError(
             f"closing edge ({a}, {b}) mismatches by {gap[worst]:.3e} "
             f"(> {threshold:.3e}): the field carries circulation",

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import EmptyPartitionPieceError, MeshError
 
@@ -55,7 +57,23 @@ class Mesh:
         orientation convention in the module docstring.
 
     ``loops[j]`` lists the rows of ``boundary_edges`` on loop j in
-    traversal order.  All invariants are checked at construction.
+    traversal order.
+
+    The edge table is built once, at construction, from the 3*nt
+    triangle sides: ``edges`` (ne, 2) holds every undirected edge as a
+    sorted pair in lexicographic order, ``triangle_edges`` (nt, 3) the
+    edge of each triangle's sides (v0v1, v1v2, v2v0), and
+    ``edge_counts`` (ne,) the number of triangles using each edge.
+    Validation, edge lookups, refinement and line integrals all read it.
+
+    All invariants are checked at construction: every vertex is used,
+    triangles have positive area, each edge is shared by at most two
+    triangles, the edges used once are exactly the boundary rows, each
+    directed like its triangle, the loops are simple closed cycles
+    (outer counter-clockwise, holes clockwise inside it) and the
+    triangles form one piece through shared edges.  Errors about one
+    triangle, boundary row or vertex name it in their context
+    (``triangle=``, ``boundary_row=``, ``vertex=``).
     """
 
     vertices: np.ndarray
@@ -75,8 +93,12 @@ class Mesh:
         if not np.all(np.isfinite(vertices)):
             raise MeshError("vertex coordinates must be finite")
         nv = len(vertices)
-        if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
-            raise MeshError("triangle vertex index out of range", code="MESH_INDEX")
+        for what, key, idx in (("triangle", "triangle", triangles),
+                               ("boundary edge", "boundary_row", bedges[:, :2])):
+            bad = np.flatnonzero(((idx < 0) | (idx >= nv)).any(axis=1))
+            if len(bad):
+                raise MeshError(f"{what} vertex index out of range (row {bad[0]})",
+                                code="MESH_INDEX", **{key: int(bad[0])})
         if len(triangles) == 0:
             raise MeshError("mesh has no triangles")
         for arr in (vertices, triangles, bedges):
@@ -84,7 +106,7 @@ class Mesh:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "triangles", triangles)
         object.__setattr__(self, "boundary_edges", bedges)
-        object.__setattr__(self, "loops", self._validate())
+        self._validate()
 
     def __repr__(self):
         return (f"Mesh(nv={len(self.vertices)}, nt={len(self.triangles)}, "
@@ -93,55 +115,83 @@ class Mesh:
     # -- validation ---------------------------------------------------
 
     def _validate(self):
+        """Build the edge table, check every invariant, chain the loops."""
         p = self.vertices
         t = self.triangles
         be = self.boundary_edges
+        nv = len(p)
 
-        unused = np.flatnonzero(np.bincount(t.ravel(), minlength=len(p)) == 0)
+        unused = np.flatnonzero(np.bincount(t.ravel(), minlength=nv) == 0)
         if len(unused):
             raise MeshError(f"vertex {int(unused[0])} is used by no triangle",
                             code="MESH_TOPOLOGY", vertex=int(unused[0]))
 
-        e1 = p[t[:, 1]] - p[t[:, 0]]
-        e2 = p[t[:, 2]] - p[t[:, 0]]
-        signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        signed = self.areas
         if np.any(signed <= 0.0):
             bad = int(np.argmin(signed))
             raise MeshError(
                 f"triangle {bad} has non-positive signed area {signed[bad]:g}",
                 code="MESH_ORIENTATION", triangle=bad)
 
+        # The edge table: one key lo*nv + hi per triangle side.
+        sides = np.stack([t, np.roll(t, -1, axis=1)], axis=2)
+        keys, inverse, counts = np.unique(
+            (sides.min(axis=2) * nv + sides.max(axis=2)).ravel(),
+            return_inverse=True, return_counts=True)
+        edges = np.column_stack([keys // nv, keys % nv])
+        tri_edges = inverse.reshape(-1, 3)
+        for name, arr in (("_edge_keys", keys), ("edges", edges),
+                          ("triangle_edges", tri_edges), ("edge_counts", counts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # Sides grouped by edge: the sides of edge e, in triangle order, are
+        # side_of[first[e]:first[e] + counts[e]]; side s belongs to triangle
+        # s // 3 and starts at vertex t.flat[s].
+        side_of = np.argsort(inverse, kind="stable")
+        first = np.cumsum(counts) - counts
+
         # Each undirected edge is shared by exactly 2 triangles or lies on
-        # the boundary (1 triangle); boundary edges must match those and be
-        # directed like the CCW traversal of their owning triangle.
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        und = np.sort(directed, axis=1)
-        uniq, counts = np.unique(und, axis=0, return_counts=True)
-        if np.any(counts > 2):
+        # the boundary (1 triangle); boundary rows must be those edges,
+        # once each, directed like the counter-clockwise side of their
+        # triangle.
+        if counts.max() > 2:
             i = int(np.argmax(counts))
             raise MeshError(
-                f"edge ({uniq[i, 0]}, {uniq[i, 1]}) is shared by {counts[i]} triangles",
-                code="MESH_TOPOLOGY")
-        lone = {tuple(e) for e in uniq[counts == 1]}
-        if be.size and (be[:, :2].min() < 0 or be[:, :2].max() >= len(p)):
-            raise MeshError("boundary edge vertex index out of range", code="MESH_INDEX")
-        be_und = {tuple(sorted((int(a), int(b)))) for a, b in be[:, :2]}
-        if be_und != lone:
+                f"edge ({edges[i, 0]}, {edges[i, 1]}) is shared by {counts[i]} triangles",
+                code="MESH_TOPOLOGY", triangle=int(side_of[first[i] + 2] // 3))
+        row_keys = be[:, :2].min(axis=1) * nv + be[:, :2].max(axis=1)
+        pos = np.minimum(np.searchsorted(keys, row_keys), len(keys) - 1)
+        uses = np.where(keys[pos] == row_keys, counts[pos], 0)
+        if np.any(uses != 1):
+            row = int(np.argmax(uses != 1))
             raise MeshError(
-                "boundary_edges do not match the edges used by exactly one triangle",
-                code="MESH_TOPOLOGY")
-        if len(be_und) != len(be):
-            raise MeshError("duplicate boundary edge", code="MESH_TOPOLOGY")
-        directed_set = {(int(a), int(b)) for a, b in directed}
-        for row, (a, b, _, tag) in enumerate(be):
-            if (int(a), int(b)) not in directed_set:
+                f"boundary edge row {row} ({be[row, 0]}, {be[row, 1]}) is used by "
+                f"{uses[row]} triangles", code="MESH_TOPOLOGY", boundary_row=row)
+        free = counts == 1
+        free[pos] = False
+        if np.any(free):
+            e = int(np.argmax(free))
+            raise MeshError(
+                f"edge ({edges[e, 0]}, {edges[e, 1]}) is used by one triangle but is "
+                f"not a boundary edge", code="MESH_TOPOLOGY",
+                triangle=int(side_of[first[e]] // 3))
+        repeat = np.ones(len(be), dtype=bool)
+        repeat[np.unique(pos, return_index=True)[1]] = False
+        if np.any(repeat):
+            raise MeshError("duplicate boundary edge", code="MESH_TOPOLOGY",
+                            boundary_row=int(np.argmax(repeat)))
+        opposed = be[:, 0] != t.ravel()[side_of[first[pos]]]
+        bad_tag = ~np.isin(be[:, 3], _VALID_TAGS)
+        if np.any(opposed | bad_tag):
+            row = int(np.argmax(opposed | bad_tag))
+            a, b, _, tag = be[row]
+            if opposed[row]:
                 raise MeshError(
                     f"boundary edge row {row} ({a}->{b}) opposes its triangle's "
                     f"orientation; interior must lie to the left",
-                    code="MESH_ORIENTATION")
-            if int(tag) not in _VALID_TAGS:
-                raise MeshError(f"boundary edge row {row} has invalid tag {tag}",
-                                code="MESH_FORMAT")
+                    code="MESH_ORIENTATION", boundary_row=row)
+            raise MeshError(f"boundary edge row {row} has invalid tag {tag}",
+                            code="MESH_FORMAT", boundary_row=row)
 
         # Chain each loop into one simple closed cycle.
         loop_ids = np.unique(be[:, 2]) if len(be) else np.array([], dtype=np.int64)
@@ -187,10 +237,23 @@ class Mesh:
                 if not _point_in_polygon(polys[j][0], polys[0]):
                     raise MeshError(
                         f"hole loop {j} is not enclosed by loop 0", code="MESH_TOPOLOGY")
-
         for arr in loops:
             arr.setflags(write=False)
-        return tuple(loops)
+        object.__setattr__(self, "loops", tuple(loops))
+
+        # The triangles must form one piece through shared edges; pieces
+        # that meet only at vertices would pass every check above.
+        shared = first[counts == 2]
+        adjacency = sp.coo_matrix(
+            (np.ones(len(shared)), (side_of[shared] // 3, side_of[shared + 1] // 3)),
+            shape=(len(t), len(t)))
+        pieces, label = csgraph.connected_components(adjacency, directed=False)
+        if pieces > 1:
+            bad = int(np.argmax(label != label[0]))
+            raise MeshError(
+                f"the domain is not connected through edges: it has {pieces} "
+                f"pieces, and triangle {bad} is not in the piece of triangle 0",
+                code="MESH_TOPOLOGY", triangle=bad)
 
     # -- derived geometry (cached; the mesh is immutable) -------------
 
@@ -230,34 +293,28 @@ class Mesh:
         g /= (2.0 * self.areas)[:, None, None]
         return g
 
-    @cached_property
-    def edges(self):
-        """All unique undirected edges as sorted pairs, (ne, 2), lexicographic."""
-        t = self.triangles
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        return np.unique(np.sort(directed, axis=1), axis=0)
-
-    @cached_property
-    def _edge_lookup(self):
-        return {(int(a), int(b)): i for i, (a, b) in enumerate(self.edges)}
-
     def edge_id(self, a, b):
-        """Global edge index of the undirected edge (a, b)."""
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        try:
-            return self._edge_lookup[key]
-        except KeyError:
-            raise MeshError(f"({a}, {b}) is not a mesh edge", code="MESH_INDEX")
+        """Global edge index (row of ``edges``) of the undirected edge (a, b).
+
+        ``a`` and ``b`` may be index arrays of one shape; the result then
+        has that shape.
+        """
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
+                                   np.asarray(b, dtype=np.int64))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        nv, keys = len(self.vertices), self._edge_keys
+        query = lo * nv + hi
+        ids = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        missing = (lo < 0) | (hi >= nv) | (keys[ids] != query)
+        if np.any(missing):
+            i = np.unravel_index(np.argmax(missing), missing.shape)
+            raise MeshError(f"({a[i]}, {b[i]}) is not a mesh edge", code="MESH_INDEX")
+        return int(ids) if ids.ndim == 0 else ids
 
     @cached_property
     def boundary_edge_ids(self):
         """Global edge index of each boundary_edges row, (nb,)."""
-        return np.asarray([self.edge_id(a, b) for a, b in self.boundary_edges[:, :2]],
-                          dtype=np.int64)
-
-    @cached_property
-    def _boundary_row_of_edge(self):
-        return {int(e): r for r, e in enumerate(self.boundary_edge_ids)}
+        return self.edge_id(self.boundary_edges[:, 0], self.boundary_edges[:, 1])
 
     @cached_property
     def boundary_vertices(self):
@@ -387,15 +444,37 @@ def edge_frame(m, edge):
     edge = int(edge)
     if edge < 0 or edge >= len(m.edges):
         raise MeshError(f"edge index {edge} out of range", code="MESH_INDEX")
-    row = m._boundary_row_of_edge.get(edge)
-    if row is None:
+    row = np.flatnonzero(m.boundary_edge_ids == edge)
+    if len(row) == 0:
         raise MeshError(f"edge {edge} is an interior edge; nu/tau undefined",
                         code="MESH_INDEX")
-    frames = m.boundary_edge_frames[row]
+    frames = m.boundary_edge_frames[row[0]]
     return frames[0].copy(), frames[1].copy()
 
 
 # -- generators -------------------------------------------------------
+
+
+def _loop_rows(ring, loop_id):
+    """Boundary rows (ring[k], ring[k + 1], loop_id, TAG_NONE), closing the ring."""
+    return np.column_stack([ring, np.roll(ring, -1), np.full(len(ring), loop_id),
+                            np.full(len(ring), TAG_NONE)])
+
+
+def _ring_triangles(rings):
+    """Two triangles per quad between consecutive rows of ``rings`` (K, ns),
+    each row a closed ring of vertex indices; ordered by ring, then sector."""
+    nxt = np.roll(rings, -1, axis=1)
+    a, b, c, d = rings[:-1], rings[1:], nxt[1:], nxt[:-1]
+    return np.stack([a, b, c, a, c, d], axis=2).reshape(-1, 3)
+
+
+def _ring_points(radii, n_sectors):
+    """Points of n_sectors equal angles on circles of the given radii, (K*ns, 2)."""
+    theta = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
+    radii = np.asarray(radii)[:, None]
+    return np.column_stack([(radii * np.cos(theta)).ravel(),
+                            (radii * np.sin(theta)).ravel()])
 
 
 def generate_rectangle(nx, ny, w, h):
@@ -412,36 +491,19 @@ def generate_rectangle(nx, ny, w, h):
     xs = np.linspace(0.0, w, nx + 1)
     ys = np.linspace(0.0, h, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def g(i, j):
-        return j * (nx + 1) + i
-
     cx, cy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]),
                          indexing="xy")
-    centers = np.column_stack([cx.ravel(), cy.ravel()])
-    vertices = np.vstack([grid, centers])
-    base = len(grid)
+    vertices = np.column_stack([np.concatenate([gx.ravel(), cx.ravel()]),
+                                np.concatenate([gy.ravel(), cy.ravel()])])
 
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            c = base + j * nx + i
-            bl, br = g(i, j), g(i + 1, j)
-            tl, tr = g(i, j + 1), g(i + 1, j + 1)
-            tris += [(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)]
-
-    bedges = []
-    for i in range(nx):
-        bedges.append((g(i, 0), g(i + 1, 0)))
-    for j in range(ny):
-        bedges.append((g(nx, j), g(nx, j + 1)))
-    for i in range(nx, 0, -1):
-        bedges.append((g(i, ny), g(i - 1, ny)))
-    for j in range(ny, 0, -1):
-        bedges.append((g(0, j), g(0, j - 1)))
-    be = np.asarray([(a, b, 0, TAG_NONE) for a, b in bedges], dtype=np.int64)
-    return Mesh(vertices, np.asarray(tris, dtype=np.int64), be)
+    g = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # g[j, i]: grid point
+    bl, br = g[:-1, :-1].ravel(), g[:-1, 1:].ravel()
+    tl, tr = g[1:, :-1].ravel(), g[1:, 1:].ravel()
+    c = g.size + np.arange(nx * ny)
+    tris = np.stack([bl, br, c, br, tr, c, tr, tl, c, tl, bl, c], axis=1).reshape(-1, 3)
+    # counter-clockwise from (0, 0): bottom, right, top, left side
+    ring = np.concatenate([g[0, :-1], g[:-1, -1], g[-1, :0:-1], g[:0:-1, 0]])
+    return Mesh(vertices, tris, _loop_rows(ring, 0))
 
 
 def generate_disk(n_rings, n_sectors, r):
@@ -456,28 +518,13 @@ def generate_disk(n_rings, n_sectors, r):
         raise MeshError("need n_rings >= 1 and n_sectors >= 3")
     if not r > 0:
         raise MeshError("radius must be positive")
-    theta = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
-    verts = [np.zeros((1, 2))]
-    for k in range(1, n_rings + 1):
-        rad = r * k / n_rings
-        verts.append(np.column_stack([rad * np.cos(theta), rad * np.sin(theta)]))
-    vertices = np.vstack(verts)
-
-    def idx(k, j):
-        return 1 + (k - 1) * n_sectors + (j % n_sectors)
-
-    tris = []
-    for j in range(n_sectors):
-        tris.append((0, idx(1, j), idx(1, j + 1)))
-    for k in range(1, n_rings):
-        for j in range(n_sectors):
-            a, b = idx(k, j), idx(k + 1, j)
-            c, d = idx(k + 1, j + 1), idx(k, j + 1)
-            tris += [(a, b, c), (a, c, d)]
-    be = np.asarray(
-        [(idx(n_rings, j), idx(n_rings, j + 1), 0, TAG_NONE) for j in range(n_sectors)],
-        dtype=np.int64)
-    return Mesh(vertices, np.asarray(tris, dtype=np.int64), be)
+    vertices = np.vstack([np.zeros((1, 2)),
+                          _ring_points(r * np.arange(1, n_rings + 1) / n_rings, n_sectors)])
+    rings = 1 + np.arange(n_rings * n_sectors).reshape(n_rings, n_sectors)
+    fan = np.column_stack([np.zeros(n_sectors, dtype=np.int64), rings[0],
+                           np.roll(rings[0], -1)])
+    return Mesh(vertices, np.vstack([fan, _ring_triangles(rings)]),
+                _loop_rows(rings[-1], 0))
 
 
 def generate_annulus(r_in, r_out, n_rings, n_sectors):
@@ -487,25 +534,12 @@ def generate_annulus(r_in, r_out, n_rings, n_sectors):
         raise MeshError("need 0 < r_in < r_out")
     if n_rings < 1 or n_sectors < 3:
         raise MeshError("need n_rings >= 1 and n_sectors >= 3")
-    theta = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
-    radii = np.linspace(r_in, r_out, n_rings + 1)
-    vertices = np.vstack([
-        np.column_stack([rad * np.cos(theta), rad * np.sin(theta)]) for rad in radii])
-
-    def idx(k, j):
-        return k * n_sectors + (j % n_sectors)
-
-    tris = []
-    for k in range(n_rings):
-        for j in range(n_sectors):
-            a, b = idx(k, j), idx(k + 1, j)
-            c, d = idx(k + 1, j + 1), idx(k, j + 1)
-            tris += [(a, b, c), (a, c, d)]
-    be = [(idx(n_rings, j), idx(n_rings, j + 1), 0, TAG_NONE) for j in range(n_sectors)]
+    vertices = _ring_points(np.linspace(r_in, r_out, n_rings + 1), n_sectors)
+    rings = np.arange((n_rings + 1) * n_sectors).reshape(n_rings + 1, n_sectors)
     # hole loop runs clockwise so the annulus stays on the left
-    be += [(idx(0, j + 1), idx(0, j), 1, TAG_NONE) for j in range(n_sectors - 1, -1, -1)]
-    return Mesh(vertices, np.asarray(tris, dtype=np.int64),
-                np.asarray(be, dtype=np.int64))
+    hole = np.roll(rings[0, ::-1], 1)
+    return Mesh(vertices, _ring_triangles(rings),
+                np.vstack([_loop_rows(rings[-1], 0), _loop_rows(hole, 1)]))
 
 
 def refine_uniform(m):
@@ -513,27 +547,19 @@ def refine_uniform(m):
 
     Boundary loop ids and region tags are inherited by the two child
     edges of each boundary edge; the total area is preserved exactly.
+    The midpoint of edge e is vertex nv + e.
     """
-    p, t = m.vertices, m.triangles
-    edges = m.edges
-    mids = 0.5 * (p[edges[:, 0]] + p[edges[:, 1]])
-    vertices = np.vstack([p, mids])
+    p, t, edges = m.vertices, m.triangles, m.edges
+    vertices = np.vstack([p, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]])])
     nv = len(p)
-
-    def mid(a, b):
-        return nv + m.edge_id(a, b)
-
-    tris = []
-    for v0, v1, v2 in t:
-        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-        tris += [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
-
-    be = []
-    for a, b, lid, tag in m.boundary_edges:
-        c = mid(a, b)
-        be += [(a, c, lid, tag), (c, b, lid, tag)]
-    return Mesh(vertices, np.asarray(tris, dtype=np.int64),
-                np.asarray(be, dtype=np.int64))
+    v0, v1, v2 = t.T
+    m01, m12, m20 = (nv + m.triangle_edges).T
+    tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20],
+                    axis=1).reshape(-1, 3)
+    a, b, lid, tag = m.boundary_edges.T
+    c = nv + m.boundary_edge_ids
+    be = np.stack([a, c, lid, tag, c, b, lid, tag], axis=1).reshape(-1, 4)
+    return Mesh(vertices, tris, be)
 
 
 # -- text file format -------------------------------------------------
@@ -612,7 +638,7 @@ def load_mesh(path):
         return rows, lines
 
     nv = read_header("vertices")
-    vertices, _ = read_rows(nv, 2, float, "vertex")
+    vertices, vertex_lines = read_rows(nv, 2, float, "vertex")
     nt = read_header("triangles")
     triangles, tri_lines = read_rows(nt, 3, int, "triangle")
     nb = read_header("boundary_edges")
@@ -621,36 +647,11 @@ def load_mesh(path):
         n, _ = tokens[pos]
         raise MeshError("trailing content after $boundary_edges section",
                         code="MESH_FORMAT", line=n)
-
-    # Pre-validate with line numbers before handing off to Mesh.
-    if nt and (triangles.min() < 0 or triangles.max() >= nv):
-        bad = int(np.argmax((triangles < 0).any(axis=1) |
-                            (triangles >= nv).any(axis=1)))
-        raise MeshError("triangle vertex index out of range",
-                        code="MESH_INDEX", line=int(tri_lines[bad]))
-    if nb and (bedges[:, :2].min() < 0 or bedges[:, :2].max() >= nv):
-        bad = int(np.argmax((bedges[:, :2] < 0).any(axis=1) |
-                            (bedges[:, :2] >= nv).any(axis=1)))
-        raise MeshError("boundary edge vertex index out of range",
-                        code="MESH_INDEX", line=int(be_lines[bad]))
-    e1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
-    e2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
-    signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    if np.any(signed <= 0.0):
-        bad = int(np.argmin(signed))
-        raise MeshError(
-            f"triangle has non-positive signed area {signed[bad]:g}",
-            code="MESH_ORIENTATION", line=int(tri_lines[bad]))
-    und = np.sort(np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                                  triangles[:, [2, 0]]]), axis=1)
-    shared = {}
-    for a, b in und:
-        key = (int(a), int(b))
-        shared[key] = shared.get(key, 0) + 1
-    for i, (a, b, _, _) in enumerate(bedges):
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        if shared.get(key, 0) != 1:
-            raise MeshError(
-                f"boundary edge ({a}, {b}) is used by {shared.get(key, 0)} triangles",
-                code="MESH_TOPOLOGY", line=int(be_lines[i]))
-    return Mesh(vertices, triangles, bedges)
+    try:
+        return Mesh(vertices, triangles, bedges)
+    except MeshError as exc:
+        for key, lines in (("vertex", vertex_lines), ("triangle", tri_lines),
+                           ("boundary_row", be_lines)):
+            if key in exc.context:
+                exc.line = exc.context["line"] = int(lines[exc.context[key]])
+        raise

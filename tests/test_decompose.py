@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,44 @@ def test_is_harmonic_cases(square):
     const = dc.VectorField.from_function(
         square, lambda x, y: (np.ones_like(x), np.ones_like(x)))
     assert dc.is_harmonic(const, 1e-8).harmonic
+
+
+def _poincare_loop_reference(v, kind):
+    """poincare_potential as plain loops: per-side edge averages of the
+    1-form, then a breadth-first walk from vertex 0 over neighbours in
+    ascending order."""
+    m = v.mesh
+    p, edges = m.vertices, m.edges
+    form = v.values if kind == "grad" else np.column_stack([-v.values[:, 1], v.values[:, 0]])
+    index = {(a, b): e for e, (a, b) in enumerate(edges.tolist())}
+    acc, count = np.zeros((len(edges), 2)), np.zeros(len(edges))
+    for k, (i, j, l) in enumerate(m.triangles.tolist()):
+        for a, b in ((i, j), (j, l), (l, i)):
+            e = index[(min(a, b), max(a, b))]
+            acc[e] += form[k]
+            count[e] += 1
+    w = np.einsum("ed,ed->e", acc / count[:, None], p[edges[:, 1]] - p[edges[:, 0]])
+    neighbours = [[] for _ in p]
+    for e, (a, b) in enumerate(edges.tolist()):
+        neighbours[a].append((b, w[e]))
+        neighbours[b].append((a, -w[e]))
+    values = np.full(len(p), np.nan)
+    values[0] = 0.0
+    queue = deque([0])
+    while queue:
+        a = queue.popleft()
+        for b, step in neighbours[a]:
+            if np.isnan(values[b]):
+                values[b] = values[a] + step
+                queue.append(b)
+    return values - float(np.sum(dc.assemble_mass(m) @ values)) / m.area
+
+
+def test_poincare_matches_loop_reference_exactly(disk):
+    f = dc.ScalarField(disk, np.random.default_rng(4).standard_normal(len(disk.vertices)))
+    for v, kind in ((dc.gradient(f), "grad"), (dc.perp_gradient(f), "curl")):
+        assert np.array_equal(dc.poincare_potential(v, kind).coeffs,
+                              _poincare_loop_reference(v, kind))
 
 
 def test_poincare_gradient_recovery(square):

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divcurl as dc
 from divcurl.errors import MeshError
@@ -240,3 +243,143 @@ def test_unreferenced_vertex_rejected():
         dc.Mesh(vertices, m.triangles, m.boundary_edges)
     assert err.value.code == "MESH_TOPOLOGY"
     assert err.value.context["vertex"] == len(m.vertices)
+
+
+def _mesh_text(vertices, triangles, boundary):
+    rows = [f"$vertices {len(vertices)}", *(f"{x} {y}" for x, y in vertices),
+            f"$triangles {len(triangles)}", *(" ".join(map(str, t)) for t in triangles),
+            f"$boundary_edges {len(boundary)}", *(" ".join(map(str, b)) for b in boundary)]
+    return "\n".join(rows) + "\n"
+
+
+# Unit square split along the (0, 2) diagonal.  Lines 7-8 hold the
+# triangles and lines 10-13 the boundary rows.
+SQUARE_V = [(0, 0), (1, 0), (1, 1), (0, 1)]
+SQUARE_T = [(0, 1, 2), (0, 2, 3)]
+SQUARE_B = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0), (3, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("vertices, triangles, boundary, code, line", [
+    # boundary row (3, 2) opposes triangle (0, 2, 3)
+    (SQUARE_V, SQUARE_T, SQUARE_B[:2] + [(3, 2, 0, 0), SQUARE_B[3]], "MESH_ORIENTATION", 12),
+    # invalid tag 5
+    (SQUARE_V, SQUARE_T, [SQUARE_B[0], (1, 2, 0, 5), *SQUARE_B[2:]], "MESH_FORMAT", 11),
+    # duplicate boundary row
+    (SQUARE_V, SQUARE_T, SQUARE_B + [SQUARE_B[1]], "MESH_TOPOLOGY", 14),
+    # triangle (2, 0, 4), on line 10 after five vertices, is a third user of
+    # the (0, 2) diagonal
+    (SQUARE_V + [(0.6, 0.3)], SQUARE_T + [(2, 0, 4)], SQUARE_B, "MESH_TOPOLOGY", 10),
+    # boundary-edge vertex index out of range
+    (SQUARE_V, SQUARE_T, SQUARE_B[:3] + [(3, 9, 0, 0)], "MESH_INDEX", 13),
+])
+def test_load_reports_line_of_mesh_fault(tmp_path, vertices, triangles, boundary,
+                                         code, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(_mesh_text(vertices, triangles, boundary))
+    with pytest.raises(MeshError) as err:
+        dc.load_mesh(path)
+    assert (err.value.code, err.value.line) == (code, line)
+
+
+def _squares(corners):
+    """Unit squares with the given lower-left corners, two triangles each,
+    sharing the vertices they have in common."""
+    index = {}
+    for x0, y0 in corners:
+        for q in ((x0, y0), (x0 + 1, y0), (x0 + 1, y0 + 1), (x0, y0 + 1)):
+            index.setdefault(q, len(index))
+    tris = []
+    for x0, y0 in corners:
+        a, b, c, d = (index[q] for q in ((x0, y0), (x0 + 1, y0),
+                                         (x0 + 1, y0 + 1), (x0, y0 + 1)))
+        tris += [(a, b, c), (a, c, d)]
+    return np.array(list(index), dtype=float), np.array(tris), index
+
+
+def _loop(index, points, loop_id):
+    ids = [index[q] for q in points]
+    return [(a, b, loop_id, 0) for a, b in zip(ids, ids[1:] + ids[:1])]
+
+
+def test_pinched_ring_rejected():
+    # four unit squares around the hole [1, 2]^2, meeting only at its corners
+    vertices, tris, index = _squares([(1, 0), (2, 1), (1, 2), (0, 1)])
+    outer = [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (2, 2), (2, 3), (1, 3),
+             (1, 2), (0, 2), (0, 1), (1, 1)]
+    hole = [(1, 1), (1, 2), (2, 2), (2, 1)]
+    with pytest.raises(MeshError) as err:
+        dc.Mesh(vertices, tris, _loop(index, outer, 0) + _loop(index, hole, 1))
+    assert err.value.code == "MESH_TOPOLOGY"
+    assert err.value.context["triangle"] == 2
+
+
+def test_disjoint_squares_still_rejected():
+    vertices, tris, index = _squares([(0, 0), (3, 0)])
+    rows = (_loop(index, [(0, 0), (1, 0), (1, 1), (0, 1)], 0)
+            + _loop(index, [(3, 0), (4, 0), (4, 1), (3, 1)], 1))
+    with pytest.raises(MeshError, match="hole loop 1 must be clockwise") as err:
+        dc.Mesh(vertices, tris, rows)
+    assert err.value.code == "MESH_ORIENTATION"
+
+
+# sha256 of save_mesh output, recorded before the generators were
+# vectorized: pins vertex, triangle and boundary-row order.
+PINNED_SHA256 = {
+    "rectangle": ("cae7698030311820ea659f95e1485cadd76dd229963a8425548433a000f8800b",
+                  "6d668abd74ab85d241784663eb66621f361fd3932ea820f0c3a79590272b629c"),
+    "disk": ("084b51e2e649fc27d462916afa6a044bb276c8793c38b741fd09431cc9e843ee",
+             "439f0331f9bcc77f390bb387d1c3033ca755a8a99e91a1c63df7585f06f884d3"),
+    "annulus": ("2d9039b3461170fee4dda35aacd91675781f29707fb8585e4125ab31ca3346e6",
+                "301799f30d899018e86ce8f66ed073740156214e134344e24c17a5a7a0fb94c2"),
+}
+
+
+@pytest.mark.parametrize("kind, build", [
+    ("rectangle", lambda: dc.generate_rectangle(5, 3, 1.5, 1.0)),
+    ("disk", lambda: dc.generate_disk(3, 12, 1.0)),
+    ("annulus", lambda: dc.generate_annulus(0.5, 1.0, 2, 12)),
+])
+def test_generator_and_refinement_output_pinned(tmp_path, kind, build):
+    def sha(m):
+        dc.save_mesh(m, tmp_path / "m.txt")
+        return hashlib.sha256((tmp_path / "m.txt").read_bytes()).hexdigest()
+
+    m = build()
+    assert (sha(m), sha(dc.refine_uniform(m))) == PINNED_SHA256[kind]
+
+
+small_meshes = st.one_of(
+    st.builds(dc.generate_rectangle, st.integers(1, 4), st.integers(1, 4),
+              st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.builds(dc.generate_disk, st.integers(1, 3), st.integers(3, 9), st.floats(0.5, 2.0)),
+    st.builds(lambda r_in, rings, sectors: dc.generate_annulus(r_in, 1.0, rings, sectors),
+              st.floats(0.2, 0.8), st.integers(1, 3), st.integers(3, 9)),
+)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(small_meshes, st.booleans())
+def test_edge_table_properties(m, refine):
+    if refine:
+        m = dc.refine_uniform(m)
+    t, nv = m.triangles, len(m.vertices)
+    sides = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2), axis=2)
+    assert np.array_equal(m.edges[m.triangle_edges], sides)
+    assert np.array_equal(np.flatnonzero(m.edge_counts == 1), np.sort(m.boundary_edge_ids))
+    assert np.all(m.edge_counts <= 2)
+
+    a, b = m.edges.T
+    ids = np.arange(len(m.edges))
+    assert np.array_equal(m.edge_id(a, b), ids) and np.array_equal(m.edge_id(b, a), ids)
+    assert m.edge_id(int(b[-1]), int(a[-1])) == len(m.edges) - 1
+    adjacent = np.eye(nv, dtype=bool)
+    adjacent[a, b] = adjacent[b, a] = True
+    non_edges = [tuple(np.argwhere(~adjacent)[0])] if not adjacent.all() else []
+    for pair in non_edges + [(0, 0), (0, nv)]:
+        with pytest.raises(MeshError) as err:
+            m.edge_id(*pair)
+        assert err.value.code == "MESH_INDEX"
+
+    assert nv - len(m.edges) + len(t) == 1 - m.num_holes
+    r = dc.refine_uniform(m)
+    assert np.array_equal(r.vertices[nv + ids], 0.5 * (m.vertices[a] + m.vertices[b]))
