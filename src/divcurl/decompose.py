@@ -21,9 +21,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from .bvp import solve_dirichlet_poisson
 from .errors import CirculationDetectedError, NotSimplyConnectedError, SolverError
 from .fem import (ScalarField, VectorField, assemble_mass, assemble_stiffness,
-                  gradient, l2_inner, l2_norm, load_grad, load_perp, perp_gradient)
+                  gradient, l2_inner, l2_norm, load_grad, load_perp, perp_gradient,
+                  weak_curl, weak_divergence)
 from .linsolve import Constraint, solve_spd
 
 __all__ = [
@@ -132,8 +134,6 @@ def harmonic_decompose(v, tol=1e-10, route="direct"):
         psi0 = project_C0(v, tol=tol).potential
         phi0 = project_G0(v, tol=tol).potential
     elif route == "weak":
-        from .bvp import solve_dirichlet_poisson
-        from .fem import weak_curl, weak_divergence
         psi0 = solve_dirichlet_poisson(weak_curl(v, tol=tol), tol=tol)
         phi0 = solve_dirichlet_poisson(weak_divergence(v, tol=tol), tol=tol)
     else:

@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshError
-from .mesh import Mesh
+from .linsolve import Constraint, solve_spd
+from .mesh import Mesh, _first_repeat, _read_text, _write_text
 
 __all__ = [
     "ScalarField", "VectorField", "BoundaryFunction",
@@ -341,7 +342,6 @@ def lift_piecewise_constant(mesh, values, tol=1e-12):
     Solves M f = d with d_i = integral(hat_i * data); use this to feed
     piecewise-constant source data to the solvers, which take P1 scalars.
     """
-    from .linsolve import Constraint, solve_spd
     values = np.asarray(values, dtype=float)
     if values.shape != (len(mesh.triangles),):
         raise MeshError("values must hold one number per triangle")
@@ -358,14 +358,12 @@ def weak_divergence(v, tol=1e-10):
     Solves M r = -load_grad(v): r is the P1 function pairing like div v
     against every nodal test function.
     """
-    from .linsolve import Constraint, solve_spd
     r = solve_spd(assemble_mass(v.mesh), -load_grad(v), Constraint.none(), tol=tol)
     return ScalarField(v.mesh, r)
 
 
 def weak_curl(v, tol=1e-10):
     """L2 Riesz representative of the weak curl of a P0 field (M r = load_perp)."""
-    from .linsolve import Constraint, solve_spd
     r = solve_spd(assemble_mass(v.mesh), load_perp(v), Constraint.none(), tol=tol)
     return ScalarField(v.mesh, r)
 
@@ -389,7 +387,6 @@ def project_boundary_function(mesh, f, tol=1e-12):
     (e.g. an exact normal trace) gets a well-defined projection rather
     than an arbitrary vertex value.
     """
-    from .linsolve import Constraint, solve_spd
     be = mesh.boundary_edges
     pa = mesh.vertices[be[:, 0]]
     pb = mesh.vertices[be[:, 1]]
@@ -418,7 +415,6 @@ def conormal_flux(f, rho_dual, tol=1e-10):
     for every P1 test function xi, i.e. B g = (K f - rho_dual) on the
     boundary rows.
     """
-    from .linsolve import Constraint, solve_spd
     m = f.mesh
     resid = assemble_stiffness(m) @ f.coeffs - np.asarray(rho_dual, dtype=float)
     g = solve_spd(_trace_mass(m), resid[m.boundary_vertices],
@@ -428,85 +424,46 @@ def conormal_flux(f, rho_dual, tol=1e-10):
 
 # -- field file format -------------------------------------------------
 
+_FIELD_SECTION = {"$scalar": ("scalar value", (float,)),
+                  "$vector": ("vector value", (float, float)),
+                  "$boundary": ("boundary value", (int, float))}
+
 
 def save_field(field, path):
     """Write a field file: ``$scalar N``, ``$vector M`` or ``$boundary K``."""
-    with open(path, "w") as fh:
-        if isinstance(field, ScalarField):
-            fh.write(f"$scalar {len(field.coeffs)}\n")
-            for v in field.coeffs:
-                fh.write(f"{float(v)!r}\n")
-        elif isinstance(field, VectorField):
-            fh.write(f"$vector {len(field.values)}\n")
-            for vx, vy in field.values:
-                fh.write(f"{float(vx)!r} {float(vy)!r}\n")
-        elif isinstance(field, BoundaryFunction):
-            fh.write(f"$boundary {len(field.values)}\n")
-            for idx, v in zip(field.mesh.boundary_vertices, field.values):
-                fh.write(f"{idx} {float(v)!r}\n")
-        else:
-            raise TypeError(f"cannot save {type(field).__name__}")
-
-
-def _data_rows(kind, body, convert):
-    """``convert`` applied to the tokens of every (line, tokens) data line; a
-    missing or malformed token is a MeshError naming its line."""
-    rows = []
-    for n, parts in body:
-        try:
-            rows.append(convert(parts))
-        except (ValueError, IndexError):
-            raise MeshError(f"malformed {kind} data line {' '.join(parts)!r}",
-                            code="MESH_FORMAT", line=n) from None
-    return rows
+    if isinstance(field, ScalarField):
+        section = ("$scalar", [field.coeffs])
+    elif isinstance(field, VectorField):
+        section = ("$vector", field.values.T)
+    elif isinstance(field, BoundaryFunction):
+        section = ("$boundary", [field.mesh.boundary_vertices, field.values])
+    else:
+        raise TypeError(f"cannot save {type(field).__name__}")
+    _write_text(path, [section])
 
 
 def load_field(path, mesh):
     """Read a field file written by ``save_field`` and attach it to ``mesh``."""
-    with open(path) as fh:
-        raw = fh.readlines()
-    tokens = []
-    for n, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.append((n, body.split()))
-    if not tokens:
-        raise MeshError("empty field file", code="MESH_FORMAT", line=1)
-    n0, head = tokens[0]
-    if len(head) != 2 or head[0] not in ("$scalar", "$vector", "$boundary"):
-        raise MeshError("expected '$scalar N', '$vector M' or '$boundary K' header",
-                        code="MESH_FORMAT", line=n0)
-    try:
-        count = int(head[1])
-    except ValueError:
-        raise MeshError(f"bad count in {head[0]} header", code="MESH_FORMAT", line=n0)
-    body = tokens[1:]
-    if len(body) != count:
-        raise MeshError(f"expected {count} data lines, found {len(body)}",
-                        code="MESH_FORMAT", line=n0)
-    kind = head[0]
-    if kind == "$scalar":
-        if count != len(mesh.vertices):
-            raise MeshError("scalar field length does not match the mesh",
-                            code="MESH_FORMAT", line=n0)
-        return ScalarField(mesh, _data_rows(kind, body, lambda p: float(p[0])))
-    if kind == "$vector":
-        if count != len(mesh.triangles):
-            raise MeshError("vector field length does not match the mesh",
-                            code="MESH_FORMAT", line=n0)
-        return VectorField(mesh, _data_rows(kind, body,
-                                            lambda p: [float(p[0]), float(p[1])]))
-    values = np.zeros(len(mesh.boundary_vertices))
-    seen = np.zeros(len(mesh.boundary_vertices), dtype=bool)
-    entries = _data_rows(kind, body, lambda p: (int(p[0]), float(p[1])))
-    for (n, _), (idx, value) in zip(body, entries):
-        pos = mesh.boundary_vertex_position[idx] if 0 <= idx < len(mesh.vertices) else -1
-        if pos < 0:
-            raise MeshError(f"vertex {idx} is not a boundary vertex",
-                            code="MESH_INDEX", line=n)
-        values[pos] = value
-        seen[pos] = True
-    if not seen.all():
+    [(kind, columns, lines, head)] = _read_text(path, [_FIELD_SECTION])
+    if kind != "$boundary":
+        cls, size = ((ScalarField, len(mesh.vertices)) if kind == "$scalar"
+                     else (VectorField, len(mesh.triangles)))
+        if len(lines) != size:
+            raise MeshError(f"{kind[1:]} field length does not match the mesh",
+                            code="MESH_FORMAT", line=head)
+        return cls(mesh, columns[0] if kind == "$scalar" else np.column_stack(columns))
+    idx, values = columns
+    bv = mesh.boundary_vertices
+    pos = np.minimum(np.searchsorted(bv, idx), len(bv) - 1)
+    if np.any(bv[pos] != idx):
+        row = int(np.argmax(bv[pos] != idx))
+        raise MeshError(f"vertex {idx[row]} is not a boundary vertex",
+                        code="MESH_INDEX", line=lines[row])
+    row = _first_repeat(pos)
+    if row >= 0:
+        raise MeshError(f"boundary vertex {idx[row]} is listed twice",
+                        code="MESH_FORMAT", line=lines[row])
+    if len(pos) != len(bv):
         raise MeshError("boundary function does not cover all boundary vertices",
-                        code="MESH_FORMAT", line=n0)
-    return BoundaryFunction(mesh, values)
+                        code="MESH_FORMAT", line=head)
+    return BoundaryFunction(mesh, values[np.argsort(pos)])

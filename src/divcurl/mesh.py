@@ -14,7 +14,7 @@ Meshes are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +46,13 @@ def _point_in_polygon(point, polygon):
     return bool(np.count_nonzero(straddle & (x < x_hit)) % 2)
 
 
+def _first_repeat(keys):
+    """Index of the first entry of ``keys`` equal to an earlier one, or -1."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return int(np.argmax(repeat)) if repeat.any() else -1
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Mesh:
     """Immutable triangle mesh with oriented boundary loops.
@@ -69,9 +76,9 @@ class Mesh:
     All invariants are checked at construction: every vertex is used,
     triangles have positive area, each edge is shared by at most two
     triangles, the edges used once are exactly the boundary rows, each
-    directed like its triangle, the loops are simple closed cycles
-    (outer counter-clockwise, holes clockwise inside it) and the
-    triangles form one piece through shared edges.  Errors about one
+    directed like its triangle, the loops are simple closed cycles that
+    share no vertex (outer counter-clockwise, holes clockwise inside it)
+    and the triangles form one piece through shared edges.  Errors about one
     triangle, boundary row or vertex name it in their context
     (``triangle=``, ``boundary_row=``, ``vertex=``).
     """
@@ -175,11 +182,10 @@ class Mesh:
                 f"edge ({edges[e, 0]}, {edges[e, 1]}) is used by one triangle but is "
                 f"not a boundary edge", code="MESH_TOPOLOGY",
                 triangle=int(side_of[first[e]] // 3))
-        repeat = np.ones(len(be), dtype=bool)
-        repeat[np.unique(pos, return_index=True)[1]] = False
-        if np.any(repeat):
+        row = _first_repeat(pos)
+        if row >= 0:
             raise MeshError("duplicate boundary edge", code="MESH_TOPOLOGY",
-                            boundary_row=int(np.argmax(repeat)))
+                            boundary_row=row)
         opposed = be[:, 0] != t.ravel()[side_of[first[pos]]]
         bad_tag = ~np.isin(be[:, 3], _VALID_TAGS)
         if np.any(opposed | bad_tag):
@@ -201,20 +207,14 @@ class Mesh:
         loops = []
         for lid in loop_ids:
             rows = np.flatnonzero(be[:, 2] == lid)
-            nxt = {}
-            for r in rows:
-                a = int(be[r, 0])
-                if a in nxt:
-                    raise MeshError(
-                        f"loop {lid} is not a simple cycle (vertex {a} repeats)",
-                        code="MESH_TOPOLOGY")
-                nxt[a] = r
+            nxt = {int(be[r, 0]): r for r in rows}
             start = int(be[rows[0], 0])
             order = []
             a = start
             for _ in range(len(rows)):
                 if a not in nxt:
-                    raise MeshError(f"loop {lid} is not closed", code="MESH_TOPOLOGY")
+                    raise MeshError(f"loop {lid} is not a simple closed cycle",
+                                    code="MESH_TOPOLOGY")
                 r = nxt.pop(a)
                 order.append(r)
                 a = int(be[r, 1])
@@ -254,6 +254,16 @@ class Mesh:
                 f"the domain is not connected through edges: it has {pieces} "
                 f"pieces, and triangle {bad} is not in the piece of triangle 0",
                 code="MESH_TOPOLOGY", triangle=bad)
+
+        # Two loops that touch at a vertex pass every check above, but the
+        # region between them is not a hole: no vertex may start two rows.
+        # (A loop through one vertex twice already fails the walk.)
+        row = _first_repeat(be[:, 0])
+        if row >= 0:
+            raise MeshError(
+                f"boundary vertex {be[row, 0]} starts two boundary rows; the loops "
+                f"must be simple and must not touch", code="MESH_TOPOLOGY",
+                boundary_row=row)
 
     # -- derived geometry (cached; the mesh is immutable) -------------
 
@@ -564,20 +574,84 @@ def refine_uniform(m):
 
 # -- text file format -------------------------------------------------
 
+_MESH_SECTIONS = ({"$vertices": ("vertex", (float, float))},
+                  {"$triangles": ("triangle", (int, int, int))},
+                  {"$boundary_edges": ("boundary edge", (int, int, int, int))})
+
+
+def _write_text(path, sections, preamble=""):
+    """Write ``preamble``, then per ``(name, columns)`` section a ``name count``
+    header and one line per row, each number written as its ``repr``."""
+    with open(path, "w") as fh:
+        fh.write(preamble)
+        for name, columns in sections:
+            fh.write(f"{name} {len(columns[0])}\n")
+            cells = [map(repr, col.tolist()) for col in columns]
+            fh.writelines(row + "\n" for row in map(" ".join, zip(*cells)))
+
+
+def _read_text(path, sections):
+    """Read the ``$name count`` sections of a mesh or field file, in order.
+
+    Each entry of ``sections`` maps the names allowed there to ``(what,
+    converters)``: a message label and one ``float`` or ``int`` per column.
+    Returns ``(name, columns, lines, header_line)`` per section, ``lines``
+    holding each row's file line.  Faults are MESH_FORMAT errors at a line.
+    """
+    with open(path) as fh:
+        raw = fh.readlines()
+    tokens = [line.partition("#")[0].split() for line in raw]
+    numbers = [n for n, parts in enumerate(tokens, start=1) if parts]
+    tokens = [parts for parts in tokens if parts]
+    fail, last = partial(MeshError, code="MESH_FORMAT"), max(len(raw), 1)
+    out, pos = [], 0
+    for spec in sections:
+        heads = " or ".join(spec)
+        if pos >= len(tokens):
+            raise fail(f"missing section {heads}", line=last)
+        (name, *rest), n0 = tokens[pos], numbers[pos]
+        if name not in spec or len(rest) != 1:
+            raise fail(f"expected '{heads} <count>'", line=n0)
+        try:
+            count = int(rest[0])
+        except ValueError:
+            raise fail(f"bad count in {name} header", line=n0) from None
+        if count < 0:
+            raise fail(f"negative count in {name} header", line=n0)
+        what, converters = spec[name]
+        width = len(converters)
+        rows = tokens[pos + 1:pos + 1 + count]
+        lines = numbers[pos + 1:pos + 1 + count]
+        try:
+            if len(rows) < count or any(len(parts) != width for parts in rows):
+                raise ValueError
+            flat = [tok for parts in rows for tok in parts]
+            columns = [np.fromiter(map(conv, flat[j::width]), conv, count)
+                       for j, conv in enumerate(converters)]
+        except (ValueError, OverflowError):
+            for n, parts in zip(lines, rows):  # the first row at fault
+                if len(parts) != width:
+                    raise fail(f"expected {width} values for {what}", line=n) from None
+                try:
+                    for conv, tok in zip(converters, parts):
+                        np.array(conv(tok), conv)  # int64 overflow, as in fromiter
+                except (ValueError, OverflowError):
+                    raise fail(f"could not parse {what}", line=n) from None
+            raise fail(f"unexpected end of file in {what}", line=last) from None
+        finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
+        if not finite.all():
+            raise fail(f"non-finite value in {what}", line=lines[int(np.argmin(finite))])
+        out.append((name, columns, lines, n0))
+        pos += 1 + count
+    if pos != len(tokens):
+        raise fail(f"trailing content after {name} section", line=numbers[pos])
+    return out
+
 
 def save_mesh(m, path):
     """Write the whitespace-separated text format (see ``load_mesh``)."""
-    with open(path, "w") as fh:
-        fh.write("# divcurl mesh\n")
-        fh.write(f"$vertices {len(m.vertices)}\n")
-        for x, y in m.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        fh.write(f"$triangles {len(m.triangles)}\n")
-        for i, j, k in m.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        fh.write(f"$boundary_edges {len(m.boundary_edges)}\n")
-        for a, b, lid, tag in m.boundary_edges:
-            fh.write(f"{a} {b} {lid} {tag}\n")
+    _write_text(path, [("$vertices", m.vertices.T), ("$triangles", m.triangles.T),
+                       ("$boundary_edges", m.boundary_edges.T)], "# divcurl mesh\n")
 
 
 def load_mesh(path):
@@ -588,70 +662,11 @@ def load_mesh(path):
     then B lines ``a b loop_id tag`` with tag 0=NONE, 1=NU, 2=TAU.
     ``#`` starts a comment.  Errors are reported with the line number.
     """
-    with open(path) as fh:
-        raw = fh.readlines()
-
-    tokens = []  # (line_number, parts)
-    for n, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.append((n, body.split()))
-
-    pos = 0
-
-    def read_header(name):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MeshError(f"missing section ${name}", code="MESH_FORMAT",
-                            line=len(raw))
-        n, parts = tokens[pos]
-        if parts[0] != f"${name}" or len(parts) != 2:
-            raise MeshError(f"expected '${name} <count>'", code="MESH_FORMAT", line=n)
-        try:
-            count = int(parts[1])
-        except ValueError:
-            raise MeshError(f"bad count in ${name} header", code="MESH_FORMAT", line=n)
-        if count < 0:
-            raise MeshError(f"negative count in ${name} header",
-                            code="MESH_FORMAT", line=n)
-        pos += 1
-        return count
-
-    def read_rows(count, width, caster, what):
-        nonlocal pos
-        rows = np.empty((count, width), dtype=float if caster is float else np.int64)
-        lines = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            if pos >= len(tokens):
-                raise MeshError(f"unexpected end of file in {what}",
-                                code="MESH_FORMAT", line=len(raw))
-            n, parts = tokens[pos]
-            if len(parts) != width:
-                raise MeshError(f"expected {width} values for {what}",
-                                code="MESH_FORMAT", line=n)
-            try:
-                rows[i] = [caster(v) for v in parts]
-            except ValueError:
-                raise MeshError(f"could not parse {what}", code="MESH_FORMAT", line=n)
-            lines[i] = n
-            pos += 1
-        return rows, lines
-
-    nv = read_header("vertices")
-    vertices, vertex_lines = read_rows(nv, 2, float, "vertex")
-    nt = read_header("triangles")
-    triangles, tri_lines = read_rows(nt, 3, int, "triangle")
-    nb = read_header("boundary_edges")
-    bedges, be_lines = read_rows(nb, 4, int, "boundary edge")
-    if pos != len(tokens):
-        n, _ = tokens[pos]
-        raise MeshError("trailing content after $boundary_edges section",
-                        code="MESH_FORMAT", line=n)
+    sections = _read_text(path, _MESH_SECTIONS)
     try:
-        return Mesh(vertices, triangles, bedges)
+        return Mesh(*(np.column_stack(columns) for _, columns, _, _ in sections))
     except MeshError as exc:
-        for key, lines in (("vertex", vertex_lines), ("triangle", tri_lines),
-                           ("boundary_row", be_lines)):
+        for key, (_, _, lines, _) in zip(("vertex", "triangle", "boundary_row"), sections):
             if key in exc.context:
-                exc.line = exc.context["line"] = int(lines[exc.context[key]])
+                exc.line = exc.context["line"] = lines[exc.context[key]]
         raise

@@ -194,6 +194,12 @@ def _field_lines(m, kind):
     ("scalar", "abc", ["solve-normal", "--eta-nu", "const:0", "--rho"]),
     ("boundary", "x 0.0", ["solve-normal", "--eta-nu"]),
     ("vector", "0.5", ["decompose", "--field"]),
+    ("scalar", "1.0 junk 7", ["solve-normal", "--eta-nu", "const:0", "--rho"]),
+    ("vector", "0.5 0.5 0.5", ["decompose", "--field"]),
+    ("scalar", "nan", ["solve-normal", "--eta-nu", "const:0", "--rho"]),
+    ("vector", "0.0 -inf", ["decompose", "--field"]),
+    ("boundary", "0 1e999", ["solve-normal", "--eta-nu"]),
+    ("boundary", "0 0.0", ["solve-normal", "--eta-nu"]),  # vertex 0 listed twice
 ])
 def test_bad_field_data_line_is_domain_error(kind, bad, argv, tmp_path, capsys):
     header, lines = _field_lines(dc.generate_rectangle(4, 4, 1.0, 1.0), kind)
@@ -205,6 +211,24 @@ def test_bad_field_data_line_is_domain_error(kind, bad, argv, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["code"] == "MESH_FORMAT"
     assert report["context"]["line"] == 5
+
+
+@pytest.mark.parametrize("kind, edit, code, line", [
+    ("scalar", lambda header, lines: [header] + lines[:-1], "MESH_FORMAT", 41),
+    ("scalar", lambda header, lines: [header] + lines + ["0.0"], "MESH_FORMAT", 43),
+    ("scalar", lambda header, lines: ["$scalar -1"] + lines, "MESH_FORMAT", 1),
+    ("scalar", lambda header, lines: ["$scalar 3"] + lines[:3], "MESH_FORMAT", 1),
+    ("scalar", lambda header, lines: [], "MESH_FORMAT", 1),
+    ("boundary", lambda header, lines: [header, "# vertex 6 is interior", ""]
+     + lines[:3] + ["6 0.0"] + lines[4:], "MESH_INDEX", 7),
+], ids=["truncated", "overlong", "negative-count", "wrong-size", "empty", "interior-vertex"])
+def test_field_file_fault_names_its_line(kind, edit, code, line, tmp_path):
+    m = dc.generate_rectangle(4, 4, 1.0, 1.0)  # 41 vertices
+    path = tmp_path / f"{kind}.txt"
+    path.write_text("".join(f"{row}\n" for row in edit(*_field_lines(m, kind))))
+    with pytest.raises(dc.MeshError) as err:
+        dc.load_field(path, m)
+    assert (err.value.code, err.value.line) == (code, line)
 
 
 def test_bad_generator_number_is_domain_error(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,27 @@ def test_field_io_round_trip(tmp_path, square):
         got = loaded.coeffs if hasattr(loaded, "coeffs") else loaded.values
         want = field.coeffs if hasattr(field, "coeffs") else field.values
         assert np.array_equal(got, want)
+
+
+# sha256 of save_field output, recorded before the field writer was shared
+# with save_mesh; the values stress float repr.
+PINNED_FIELD_SHA256 = {
+    "scalar": "69be499e823f10f4ffa85eb79b0be025804c6d456fda4ce2d53d6ea8e4e8cb73",
+    "vector": "0fec8e8bfbd233a5568b5f88ea3e32249803a0db45fc2906db87716ce56c7fdc",
+    "boundary": "1e0267036cbc8e675ed26c175dcf7cd42aef1e00dc7d6756dadfda16a7eccbd4",
+}
+
+
+@pytest.mark.parametrize("kind, build", [
+    ("scalar", lambda m, v: dc.ScalarField(m, np.resize(v, len(m.vertices)))),
+    ("vector", lambda m, v: dc.VectorField(m, np.resize(v, (len(m.triangles), 2)))),
+    ("boundary", lambda m, v: dc.BoundaryFunction(m, np.resize(v, len(m.boundary_vertices)))),
+])
+def test_field_output_pinned(tmp_path, kind, build):
+    m = dc.generate_rectangle(3, 2, 1.0, 1.0)
+    dc.save_field(build(m, [0.1, -0.0, 1 / 3, 1e-300, 2.0 ** 60, -7.25]), tmp_path / "f.txt")
+    assert hashlib.sha256((tmp_path / "f.txt").read_bytes()).hexdigest() \
+        == PINNED_FIELD_SHA256[kind]
 
 
 def test_field_validation():

@@ -313,6 +313,56 @@ def test_pinched_ring_rejected():
     assert err.value.context["triangle"] == 2
 
 
+# Seven unit squares around the hole [1, 2]^2: the 3x3 block without its
+# centre and its (0, 0) corner.  The hole loop touches the outer loop at
+# (1, 1), so the open region is simply connected and there is no hole.
+SEVEN_CORNERS = [(1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
+SEVEN_OUTER = [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3),
+               (0, 3), (0, 2), (0, 1), (1, 1)]
+SEVEN_HOLE = [(1, 1), (1, 2), (2, 2), (2, 1)]
+
+
+def test_touching_loops_rejected(tmp_path):
+    vertices, tris, index = _squares(SEVEN_CORNERS)
+    rows = _loop(index, SEVEN_OUTER, 0) + _loop(index, SEVEN_HOLE, 1)
+    with pytest.raises(MeshError) as err:
+        dc.Mesh(vertices, tris, rows)
+    # (1, 1) starts outer row 11 and hole row 12
+    assert err.value.code == "MESH_TOPOLOGY"
+    assert err.value.context["boundary_row"] == 12
+    path = tmp_path / "seven.txt"
+    path.write_text(_mesh_text(vertices, tris, rows))
+    with pytest.raises(MeshError) as err:
+        dc.load_mesh(path)
+    # header, 15 vertices, header, 14 triangles, header, then rows 0..12
+    assert (err.value.code, err.value.line) == ("MESH_TOPOLOGY", 1 + 15 + 1 + 14 + 1 + 13)
+
+
+def test_loop_through_a_vertex_twice_rejected():
+    vertices, tris, index = _squares(SEVEN_CORNERS)
+    rows = _loop(index, SEVEN_OUTER + SEVEN_HOLE[1:] + [(1, 1)], 0)
+    with pytest.raises(MeshError, match="loop 0 is not a simple closed cycle") as err:
+        dc.Mesh(vertices, tris, rows)
+    assert err.value.code == "MESH_TOPOLOGY"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("0 0\n", "0.5 -inf\n", 2),                 # non-finite coordinates
+    ("1 0\n", "nan 0\n", 3),
+    ("1 1\n", "1 1e999\n", 4),
+    ("0 1 2", "0 1 99999999999999999999", 7),   # does not fit int64
+    ("0 1 2", "0 1 2 3", 7),                     # extra token
+    ("$triangles 2", "$triangles 3", 9),         # next header read as a row
+    ("$vertices 4", "$vertices -4", 1),
+])
+def test_load_reports_line_of_format_fault(tmp_path, old, new, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(_mesh_text(SQUARE_V, SQUARE_T, SQUARE_B).replace(old, new, 1))
+    with pytest.raises(MeshError) as err:
+        dc.load_mesh(path)
+    assert (err.value.code, err.value.line) == ("MESH_FORMAT", line)
+
+
 def test_disjoint_squares_still_rejected():
     vertices, tris, index = _squares([(0, 0), (3, 0)])
     rows = (_loop(index, [(0, 0), (1, 0), (1, 1), (0, 1)], 0)
@@ -383,3 +433,50 @@ def test_edge_table_properties(m, refine):
     assert nv - len(m.edges) + len(t) == 1 - m.num_holes
     r = dc.refine_uniform(m)
     assert np.array_equal(r.vertices[nv + ids], 0.5 * (m.vertices[a] + m.vertices[b]))
+
+
+def _with_comments(text, data):
+    """``text`` with comment and blank lines inserted at random places and
+    comments or blanks appended to random lines."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 6))):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["", "  \t", "# note", "#$vertices 3 1 2"])))
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at] += data.draw(st.sampled_from([" # tail", "#", "\t "]))
+    return "\n".join(lines) + "\n"
+
+
+def _field_of(m, kind, values):
+    if kind == "scalar":
+        return dc.ScalarField(m, values[:len(m.vertices)])
+    if kind == "vector":
+        return dc.VectorField(m, values[:2 * len(m.triangles)].reshape(-1, 2))
+    return dc.BoundaryFunction(m, values[:len(m.boundary_vertices)])
+
+
+def _arrays(obj):
+    if isinstance(obj, dc.Mesh):
+        return obj.vertices, obj.triangles, obj.boundary_edges
+    return (obj.coeffs if isinstance(obj, dc.ScalarField) else obj.values,)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(small_meshes, st.sampled_from(["scalar", "vector", "boundary"]), st.data())
+def test_text_files_round_trip(tmp_path_factory, m, kind, data):
+    n = max(len(m.vertices), 2 * len(m.triangles))
+    values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                         min_size=n, max_size=n)))
+    field = _field_of(m, kind, values)
+    tmp = tmp_path_factory.mktemp("round_trip")
+    for obj, save, load in ((m, dc.save_mesh, dc.load_mesh),
+                            (field, dc.save_field, lambda path: dc.load_field(path, m))):
+        save(obj, tmp / "saved.txt")
+        saved = (tmp / "saved.txt").read_bytes()
+        (tmp / "edited.txt").write_text(_with_comments(saved.decode(), data))
+        loaded = load(tmp / "edited.txt")
+        assert type(loaded) is type(obj)
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(loaded), _arrays(obj)))
+        save(loaded, tmp / "again.txt")
+        assert (tmp / "again.txt").read_bytes() == saved
