@@ -28,7 +28,7 @@ from .fem import (BoundaryFunction, ScalarField, VectorField, _trace_mass,
                   boundary_integral, boundary_l2_norm, conormal_flux, gradient,
                   l2_inner, l2_norm, perp_gradient, scalar_l2_norm,
                   volume_integral)
-from .linsolve import Constraint, solve_spd
+from .linsolve import Constraint, _lu, solve_spd
 from .mesh import BoundaryPartition, Mesh
 from .spectra import dirichlet_lambda1, m2_gamma, steklov_basis
 
@@ -238,12 +238,14 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
     """Discrete operator norm of the source-to-boundary-flux map.
 
     Measures the largest ratio ||flux of the zero-trace Poisson
-    solution||_L2(ds) / ||source||_L2 over the P1 source space: the root
-    of the largest eigenvalue of the self-adjoint pencil (R^T B^-1 R, M),
-    found by ARPACK's Lanczos iteration from a seeded start vector.
-    ``max_iter`` bounds its restarts.  The value is kept on the mesh per
-    seed and reused for any tolerance no tighter than the one it was
-    computed at.
+    solution||_L2(ds) / ||source||_L2 over the P1 source space.  By
+    Green's identity that map is minus the adjoint of the discrete
+    harmonic extension H (w on the boundary, -K_ii^-1 K_ib w inside), so
+    C0 = ||H|| from L2(ds) to L2: the root of the largest eigenvalue of
+    the boundary-sized pencil (H^T M H, B_bb), found by ARPACK's Lanczos
+    iteration from a seeded start vector.  ``max_iter`` bounds its
+    restarts.  The value is kept on the mesh per seed and reused for any
+    tolerance no tighter than the one it was computed at.
     """
     key = ("C0", seed)
     cached = m._cache.get(key)
@@ -251,43 +253,29 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
         return cached[0]
 
     K = assemble_stiffness(m).tocsr()
-    M = assemble_mass(m).tocsc()
-    bv = m.boundary_vertices
-    iv = m.interior_vertices
-    K_ii = (spla.splu(K[iv][:, iv].tocsc(), permc_spec="MMD_AT_PLUS_A")
-            if len(iv) else None)
-    B_lu = spla.splu(_trace_mass(m).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    M_lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A")
-    K_bi = K[bv][:, iv].tocsr()
+    M = assemble_mass(m)
+    B_bb = _trace_mass(m)
+    bv, iv = m.boundary_vertices, m.interior_vertices
     K_ib = K[iv][:, bv].tocsr()
-    M_full = M.tocsr()
+    K_ii = _lu(K[iv][:, iv], "the interior stiffness") if len(iv) else None
+    B_lu = _lu(B_bb, "the boundary trace mass")
 
-    def apply_R(r):
-        # r (full P1 coeffs) -> boundary dual of the flux: (K G_D(M r) - M r)|_b
-        y = M_full @ r
+    def apply_HtMH(w):
+        u = np.empty(len(m.vertices))
+        u[bv] = w
         if K_ii is None:
-            return -y[bv]
-        phi_i = K_ii.solve(y[iv])
-        return K_bi @ phi_i - y[bv]
+            return (M @ u)[bv]
+        u[iv] = -K_ii.solve(K_ib @ w)
+        y = M @ u
+        return y[bv] - K_ib.T @ K_ii.solve(y[iv])
 
-    def apply_Rt(w):
-        # transpose of apply_R against a boundary dual
-        wb = np.zeros(len(m.vertices))
-        wb[bv] = w
-        if K_ii is None:
-            return -(M_full @ wb)
-        full = np.zeros(len(m.vertices))
-        full[iv] = K_ii.solve(K_ib @ w)
-        return M_full @ full - M_full @ wb
-
-    n = len(m.vertices)
+    nb = len(bv)
     rng = np.random.default_rng(seed)
     try:
         value = spla.eigsh(
-            spla.LinearOperator((n, n), dtype=float,
-                                matvec=lambda r: apply_Rt(B_lu.solve(apply_R(r)))),
-            k=1, M=M_full, which="LA", v0=rng.standard_normal(n),
-            Minv=spla.LinearOperator((n, n), dtype=float, matvec=M_lu.solve),
+            spla.LinearOperator((nb, nb), dtype=float, matvec=apply_HtMH),
+            k=1, M=B_bb, which="LA", v0=rng.standard_normal(nb),
+            Minv=spla.LinearOperator((nb, nb), dtype=float, matvec=B_lu.solve),
             tol=1e-3 * tol, maxiter=max_iter, return_eigenvectors=False)[0]
     except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
         raise NonConvergenceError(

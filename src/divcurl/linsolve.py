@@ -126,11 +126,8 @@ def _factor(A, constraint, mask):
             A_ff = A.tocsr(copy=True)
         pinned = constraint.kind in _MEAN_KINDS
         P = A_ff[:-1, :-1] if pinned else A_ff
-        try:
-            lu = spla.splu(P.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolverError(
-                f"cannot factor the {constraint.kind} constrained operator: {exc}")
+        lu = _lu(P.astype(np.float32),
+                 f"the {constraint.kind} constrained operator")
         factor = per_matrix[key] = _Factor(A_ff, lu, pinned)
     return factor
 
@@ -267,7 +264,7 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
             f"requested {k} eigenpairs but the B-positive subspace has "
             f"dimension at most {avail}")
 
-    lu = _shifted_lu(A_ff, B_ff, -1.0)
+    lu = _lu(A_ff + B_ff, "A + B")
     b_ones = B_ff @ np.ones(nf)
     ones_b = float(b_ones.sum())
     rng = np.random.default_rng(seed)
@@ -358,12 +355,14 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
     return pairs
 
 
-def _shifted_lu(A, B, sigma, **options):
-    """Double-precision LU of A - sigma B; SolverError when it is singular."""
+def _lu(A, what, **options):
+    """Sparse LU of A in its own precision, ordered by minimum degree on
+    A^T + A; SolverError naming ``what`` when A is singular.  Every
+    factorization in the package goes through here."""
     try:
-        return spla.splu((A - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A", **options)
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", **options)
     except RuntimeError as exc:
-        raise SolverError(f"cannot factor A - ({sigma:g}) B: {exc}") from None
+        raise SolverError(f"cannot factor {what}: {exc}") from None
 
 
 def _count_below(A, B, mu):
@@ -374,8 +373,8 @@ def _count_below(A, B, mu):
     pivoting.  Eigenvalues at infinity (B singular, A positive definite
     there) add positive pivots only.
     """
-    lu = _shifted_lu(A, B, mu, diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+    lu = _lu(A - mu * B, f"A - ({mu:g}) B", diag_pivot_thresh=0.0,
+             options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"A - ({mu:g}) B has a zero pivot; no Sturm count")
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))

@@ -200,10 +200,11 @@ class Mesh:
                             code="MESH_FORMAT", boundary_row=row)
 
         # Chain each loop into one simple closed cycle.
-        loop_ids = np.unique(be[:, 2]) if len(be) else np.array([], dtype=np.int64)
-        if len(be) and (loop_ids.min() != 0 or not np.array_equal(
-                loop_ids, np.arange(len(loop_ids)))):
-            raise MeshError("loop ids must be 0..J without gaps", code="MESH_TOPOLOGY")
+        loop_ids = np.unique(be[:, 2])
+        gap = (be[:, 2] < 0) | (be[:, 2] >= len(loop_ids))
+        if np.any(gap):
+            raise MeshError("loop ids must be 0..J without gaps", code="MESH_TOPOLOGY",
+                            boundary_row=int(np.argmax(gap)))
         loops = []
         for lid in loop_ids:
             rows = np.flatnonzero(be[:, 2] == lid)
@@ -214,29 +215,29 @@ class Mesh:
             for _ in range(len(rows)):
                 if a not in nxt:
                     raise MeshError(f"loop {lid} is not a simple closed cycle",
-                                    code="MESH_TOPOLOGY")
+                                    code="MESH_TOPOLOGY", boundary_row=int(rows[0]))
                 r = nxt.pop(a)
                 order.append(r)
                 a = int(be[r, 1])
             if a != start or nxt:
                 raise MeshError(f"loop {lid} is not a single closed cycle",
-                                code="MESH_TOPOLOGY")
+                                code="MESH_TOPOLOGY", boundary_row=int(rows[0]))
             loops.append(np.asarray(order, dtype=np.int64))
 
         # Loop 0 is the outer loop (counter-clockwise); holes are clockwise
-        # and lie inside it.
+        # and lie inside it.  Each fault cites the loop's first row.
         if loops:
             polys = [p[be[rows, 0]] for rows in loops]
             if _shoelace(polys[0]) <= 0.0:
                 raise MeshError("loop 0 must be counter-clockwise (outer loop)",
-                                code="MESH_ORIENTATION")
+                                code="MESH_ORIENTATION", boundary_row=int(loops[0][0]))
             for j in range(1, len(loops)):
                 if _shoelace(polys[j]) >= 0.0:
-                    raise MeshError(
-                        f"hole loop {j} must be clockwise", code="MESH_ORIENTATION")
+                    raise MeshError(f"hole loop {j} must be clockwise",
+                                    code="MESH_ORIENTATION", boundary_row=int(loops[j][0]))
                 if not _point_in_polygon(polys[j][0], polys[0]):
-                    raise MeshError(
-                        f"hole loop {j} is not enclosed by loop 0", code="MESH_TOPOLOGY")
+                    raise MeshError(f"hole loop {j} is not enclosed by loop 0",
+                                    code="MESH_TOPOLOGY", boundary_row=int(loops[j][0]))
         for arr in loops:
             arr.setflags(write=False)
         object.__setattr__(self, "loops", tuple(loops))

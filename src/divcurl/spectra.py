@@ -73,29 +73,30 @@ class SteklovBasis:
         return np.asarray([float(f.coeffs @ be) for f in self.fields])
 
 
-def dirichlet_lambda1(m, tol=1e-8, seed=0):
-    """Smallest eigenvalue of K x = lambda M x with zero boundary values."""
+def _lowest(m, key, pencil, tol, seed):
+    """Smallest eigenvalue of K x = lambda B x, kept in the mesh cache under
+    ``key``; ``pencil()`` gives (B, constraint) on a miss."""
     cache = m._cache
-    key = ("lambda1", tol, seed)
     if key not in cache:
-        pairs = smallest_eigs(
-            assemble_stiffness(m), assemble_mass(m), 1,
-            Constraint.dirichlet_zero(m.boundary_vertices), tol=tol, seed=seed)
+        B, constraint = pencil()
+        pairs = smallest_eigs(assemble_stiffness(m), B, 1, constraint,
+                              tol=tol, seed=seed)
         cache[key] = pairs[0][0]
     return cache[key]
+
+
+def dirichlet_lambda1(m, tol=1e-8, seed=0):
+    """Smallest eigenvalue of K x = lambda M x with zero boundary values."""
+    return _lowest(m, ("lambda1", tol, seed), lambda: (
+        assemble_mass(m), Constraint.dirichlet_zero(m.boundary_vertices)), tol, seed)
 
 
 def neumann_lambda_m(m, tol=1e-8, seed=0):
     """First nonzero eigenvalue of K x = lambda M x (mean-free subspace)."""
-    cache = m._cache
-    key = ("lambda_m", tol, seed)
-    if key not in cache:
+    def pencil():
         M = assemble_mass(m)
-        pairs = smallest_eigs(
-            assemble_stiffness(m), M, 1,
-            Constraint.mean_zero(M @ np.ones(M.shape[0])), tol=tol, seed=seed)
-        cache[key] = pairs[0][0]
-    return cache[key]
+        return M, Constraint.mean_zero(M @ np.ones(M.shape[0]))
+    return _lowest(m, ("lambda_m", tol, seed), pencil, tol, seed)
 
 
 def steklov_basis(m, k, tol=1e-8, seed=0):
@@ -152,15 +153,12 @@ def mixed_lambda1(m, gamma, tol=1e-8, seed=0):
     problem.
     """
     rows, verts = _gamma_vertices(m, gamma)
-    cache = m._cache
-    key = ("mixed", tuple(rows.tolist()), tol, seed)
-    if key not in cache:
+
+    def pencil():
         complement = sorted(set(range(len(m.boundary_edges))) - set(rows.tolist()))
         B = (assemble_mass(m) + assemble_boundary_mass(m, complement)).tocsr()
-        pairs = smallest_eigs(assemble_stiffness(m), B, 1,
-                              Constraint.dirichlet_zero(verts), tol=tol, seed=seed)
-        cache[key] = pairs[0][0]
-    return cache[key]
+        return B, Constraint.dirichlet_zero(verts)
+    return _lowest(m, ("mixed", tuple(rows.tolist()), tol, seed), pencil, tol, seed)
 
 
 def m2_gamma(m, gamma, tol=1e-8, seed=0):

@@ -410,6 +410,36 @@ def test_estimate_c0_scaling():
     b = bvp.estimate_C0(dc.generate_rectangle(12, 12, 2.0, 2.0), tol=1e-8)
     assert abs(b / a - np.sqrt(2.0)) < 0.05 * np.sqrt(2.0)
 
+    # K is scale-invariant while M ~ L^2 and B ~ L, so under x -> L x the
+    # discrete constants obey C0 ~ L^(1/2), lambda1 ~ L^-2 and delta1 ~ L^-1
+    # exactly, and a rigid motion leaves all three unchanged.
+    def constants(m):
+        return np.array([bvp.estimate_C0(m, tol=1e-8), dc.dirichlet_lambda1(m),
+                         dc.steklov_basis(m, 2).eigenvalues[1]])
+
+    m = dc.generate_rectangle(12, 8, 1.5, 1.0)
+    base = constants(m)
+    for L in (2.0, 0.25):
+        scaled = constants(dc.Mesh(L * m.vertices, m.triangles, m.boundary_edges))
+        expected = base * np.array([L ** 0.5, L ** -2.0, L ** -1.0])
+        np.testing.assert_allclose(scaled, expected, rtol=1e-8)
+    c, s = np.cos(0.7), np.sin(0.7)
+    moved = m.vertices @ np.array([[c, s], [-s, c]]) + np.array([3.0, -2.0])
+    np.testing.assert_allclose(
+        constants(dc.Mesh(moved, m.triangles, m.boundary_edges)), base, rtol=1e-8)
+
+
+def test_estimate_c0_factors_interior_stiffness_and_trace_mass(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    shapes = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **k: shapes.append(A.shape) or splu(A, **k))
+    m = dc.generate_annulus(0.5, 1.0, 2, 16)
+    bvp.estimate_C0(m)
+    ni, nb = len(m.interior_vertices), len(m.boundary_vertices)
+    assert sorted(shapes) == sorted([(ni, ni), (nb, nb)])
+
 
 def test_estimate_c0_cache_is_keyed_on_seed(monkeypatch):
     import scipy.sparse.linalg as spla
@@ -430,8 +460,9 @@ def test_estimate_c0_cache_is_keyed_on_seed(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [dc.generate_rectangle(6, 6, 1.0, 1.0),
-                               dc.generate_annulus(0.5, 1.0, 2, 16)],
-                         ids=["square", "annulus"])
+                               dc.generate_annulus(0.5, 1.0, 2, 16),
+                               dc.generate_rectangle(1, 1, 1.0, 1.0)],
+                         ids=["square", "annulus", "no-interior"])
 def test_estimate_c0_matches_dense_reference(m):
     # C0^2 is the largest eigenvalue of (R^T B^-1 R, M), with R r the
     # boundary dual of the flux of the zero-trace Poisson solution for r.

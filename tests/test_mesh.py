@@ -259,28 +259,6 @@ SQUARE_T = [(0, 1, 2), (0, 2, 3)]
 SQUARE_B = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0), (3, 0, 0, 0)]
 
 
-@pytest.mark.parametrize("vertices, triangles, boundary, code, line", [
-    # boundary row (3, 2) opposes triangle (0, 2, 3)
-    (SQUARE_V, SQUARE_T, SQUARE_B[:2] + [(3, 2, 0, 0), SQUARE_B[3]], "MESH_ORIENTATION", 12),
-    # invalid tag 5
-    (SQUARE_V, SQUARE_T, [SQUARE_B[0], (1, 2, 0, 5), *SQUARE_B[2:]], "MESH_FORMAT", 11),
-    # duplicate boundary row
-    (SQUARE_V, SQUARE_T, SQUARE_B + [SQUARE_B[1]], "MESH_TOPOLOGY", 14),
-    # triangle (2, 0, 4), on line 10 after five vertices, is a third user of
-    # the (0, 2) diagonal
-    (SQUARE_V + [(0.6, 0.3)], SQUARE_T + [(2, 0, 4)], SQUARE_B, "MESH_TOPOLOGY", 10),
-    # boundary-edge vertex index out of range
-    (SQUARE_V, SQUARE_T, SQUARE_B[:3] + [(3, 9, 0, 0)], "MESH_INDEX", 13),
-])
-def test_load_reports_line_of_mesh_fault(tmp_path, vertices, triangles, boundary,
-                                         code, line):
-    path = tmp_path / "bad.txt"
-    path.write_text(_mesh_text(vertices, triangles, boundary))
-    with pytest.raises(MeshError) as err:
-        dc.load_mesh(path)
-    assert (err.value.code, err.value.line) == (code, line)
-
-
 def _squares(corners):
     """Unit squares with the given lower-left corners, two triangles each,
     sharing the vertices they have in common."""
@@ -301,6 +279,56 @@ def _loop(index, points, loop_id):
     return [(a, b, loop_id, 0) for a, b in zip(ids, ids[1:] + ids[:1])]
 
 
+# Seven unit squares around the hole [1, 2]^2: the 3x3 block without its
+# centre and its (0, 0) corner.  The hole loop touches the outer loop at
+# (1, 1), so the open region is simply connected and there is no hole.
+SEVEN_CORNERS = [(1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
+SEVEN_OUTER = [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3),
+               (0, 3), (0, 2), (0, 1), (1, 1)]
+SEVEN_HOLE = [(1, 1), (1, 2), (2, 2), (2, 1)]
+
+
+# Eight unit squares around the hole [1, 2]^2, with 16 vertices and 16
+# triangles: boundary rows start on line 1 + 16 + 1 + 16 + 1 + 1 = 36.
+RING_CORNERS = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
+RING_OUTER = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (2, 3),
+              (1, 3), (0, 3), (0, 2), (0, 1)]
+SEVEN_V, SEVEN_T, SEVEN_INDEX = _squares(SEVEN_CORNERS)
+RING_V, RING_T, RING_INDEX = _squares(RING_CORNERS)
+
+
+@pytest.mark.parametrize("vertices, triangles, boundary, code, line", [
+    # boundary row (3, 2) opposes triangle (0, 2, 3)
+    (SQUARE_V, SQUARE_T, SQUARE_B[:2] + [(3, 2, 0, 0), SQUARE_B[3]], "MESH_ORIENTATION", 12),
+    # invalid tag 5
+    (SQUARE_V, SQUARE_T, [SQUARE_B[0], (1, 2, 0, 5), *SQUARE_B[2:]], "MESH_FORMAT", 11),
+    # duplicate boundary row
+    (SQUARE_V, SQUARE_T, SQUARE_B + [SQUARE_B[1]], "MESH_TOPOLOGY", 14),
+    # triangle (2, 0, 4), on line 10 after five vertices, is a third user of
+    # the (0, 2) diagonal
+    (SQUARE_V + [(0.6, 0.3)], SQUARE_T + [(2, 0, 4)], SQUARE_B, "MESH_TOPOLOGY", 10),
+    # boundary-edge vertex index out of range
+    (SQUARE_V, SQUARE_T, SQUARE_B[:3] + [(3, 9, 0, 0)], "MESH_INDEX", 13),
+    # loop ids 0 and 2: row 2 is the first without loop 1 before it
+    (SQUARE_V, SQUARE_T, SQUARE_B[:2] + [(2, 3, 2, 0), (3, 0, 2, 0)], "MESH_TOPOLOGY", 12),
+    # figure-eight loop 0 through (1, 1) twice: its first row, after 15
+    # vertices and 14 triangles
+    (SEVEN_V, SEVEN_T, _loop(SEVEN_INDEX, SEVEN_OUTER + SEVEN_HOLE[1:] + [(1, 1)], 0),
+     "MESH_TOPOLOGY", 1 + 15 + 1 + 14 + 1 + 1),
+    # outer loop numbered 1 and hole numbered 0: loop 0 is clockwise, and
+    # its first row is row 12
+    (RING_V, RING_T, _loop(RING_INDEX, RING_OUTER, 1) + _loop(RING_INDEX, SEVEN_HOLE, 0),
+     "MESH_ORIENTATION", 36 + 12),
+])
+def test_load_reports_line_of_mesh_fault(tmp_path, vertices, triangles, boundary,
+                                         code, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(_mesh_text(vertices, triangles, boundary))
+    with pytest.raises(MeshError) as err:
+        dc.load_mesh(path)
+    assert (err.value.code, err.value.line) == (code, line)
+
+
 def test_pinched_ring_rejected():
     # four unit squares around the hole [1, 2]^2, meeting only at its corners
     vertices, tris, index = _squares([(1, 0), (2, 1), (1, 2), (0, 1)])
@@ -311,15 +339,6 @@ def test_pinched_ring_rejected():
         dc.Mesh(vertices, tris, _loop(index, outer, 0) + _loop(index, hole, 1))
     assert err.value.code == "MESH_TOPOLOGY"
     assert err.value.context["triangle"] == 2
-
-
-# Seven unit squares around the hole [1, 2]^2: the 3x3 block without its
-# centre and its (0, 0) corner.  The hole loop touches the outer loop at
-# (1, 1), so the open region is simply connected and there is no hole.
-SEVEN_CORNERS = [(1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
-SEVEN_OUTER = [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3),
-               (0, 3), (0, 2), (0, 1), (1, 1)]
-SEVEN_HOLE = [(1, 1), (1, 2), (2, 2), (2, 1)]
 
 
 def test_touching_loops_rejected(tmp_path):
