@@ -199,12 +199,29 @@ def assemble_stiffness(m):
 
     Exact for P1 (constant gradients per triangle); symmetric positive
     semi-definite with null space = constants on a connected mesh.
+
+    An off-diagonal entry is -(cot a + cot b) / 2 with a, b the angles
+    facing its edge, so it is exactly 0 wherever a + b = pi: the two
+    triangles then share a circumcircle, as at every cell side of the
+    crossed-diagonal square and on many edges of the generated disks
+    and annuli.  Assembled in floating point such entries hold only
+    roundoff (<= 1e-14 relative), yet they add fill to every factor of
+    K.  Off-diagonal entries with |K_ij| <= 1e-13 sqrt(K_ii K_jj) are
+    therefore dropped from the pattern.  The rule is symmetric and
+    invariant under rigid motion and scaling, and it leaves the real
+    couplings of the generated meshes (>= 1e-4 relative) alone.
     """
     cache = m._cache
     if "K" not in cache:
         g = m.hat_gradients
         local = np.einsum("tid,tjd->tij", g, g) * m.areas[:, None, None]
-        cache["K"] = _scatter_symmetric(local, m.triangles, len(m.vertices))
+        K = _scatter_symmetric(local, m.triangles, len(m.vertices)).tocoo()
+        root = np.sqrt(K.diagonal())
+        tiny = (K.row != K.col) & (np.abs(K.data) <= 1e-13 * root[K.row] * root[K.col])
+        K.data[tiny] = 0.0
+        K = K.tocsr()
+        K.eliminate_zeros()
+        cache["K"] = K
     return cache["K"]
 
 

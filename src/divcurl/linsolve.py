@@ -15,9 +15,12 @@ it has been passed to ``solve_spd``.
 ``smallest_eigs`` computes the lowest eigenpairs of the pencil
 A x = lambda B x with ARPACK's shift-invert Lanczos (scipy's ``eigsh``;
 Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) on a
-double-precision sparse LU of A + B, the shift sigma = -1 being
-nonsingular for every pencil used here even when A or B alone is
-singular.  Results are deterministic for a fixed seed.
+double-precision sparse LU of A - sigma B.  Under DIRICHLET_ZERO the
+shift is sigma = 0: the eliminated operator A_ff is nonsingular there
+(for a stiffness matrix on a connected mesh with a nonempty Dirichlet
+set) and keeps its own sparsity pattern.  Otherwise A may be singular,
+and sigma = -1 is nonsingular for every pencil used here even when A or
+B alone is singular.  Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -197,10 +200,13 @@ def _pcg(A, b, precondition, tol, max_iter, deflate):
     for it in range(1, max_iter + 1):
         q = A @ p
         pq = float(p @ q)
-        if pq <= 0.0:
+        # Written to be false on NaN too: an operator or preconditioner
+        # that over- or underflows must end here, not in a division by 0.
+        if not (pq > 0.0 and rz > 0.0):
             raise NonConvergenceError(
                 "conjugate gradient hit a non-positive curvature direction "
-                "(matrix not positive definite on the constrained subspace)",
+                "(matrix or preconditioner not positive definite on the "
+                "constrained subspace)",
                 iterations=it, residual=float(np.linalg.norm(r) / scale))
         alpha = rz / pq
         x += alpha * p
@@ -227,17 +233,19 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
     largest-magnitude coefficient is made positive so expansions are
     reproducible.
 
-    ARPACK's shift-invert Lanczos (sigma = -1) finds the pairs, one more
-    application of (A + B)^-1 B purifies its vectors of components that B
-    does not see, and Rayleigh-Ritz on the original pencil gives the
-    result; for k within one of the B-positive dimension Rayleigh-Ritz
-    runs over that whole subspace instead.  Lanczos from one start vector
+    ARPACK's shift-invert Lanczos (sigma = 0 under DIRICHLET_ZERO, -1
+    otherwise) finds the pairs, one more application of
+    (A - sigma B)^-1 B purifies its vectors of components that B does not
+    see, and Rayleigh-Ritz on the original pencil, B-orthonormalized
+    twice, gives the result; for k within one of the B-positive
+    dimension Rayleigh-Ritz runs over that whole subspace instead.  Lanczos from one start vector
     can miss a copy of a repeated eigenvalue, so for k >= 2 a Sturm count
     checks that none below the k-th is missing, and Lanczos on the
     B-orthogonal complement of the pairs found looks for those that are.
     Every pair must pass a relative residual test with a roundoff floor.
     Raises DegenerateBError when the B-positive subspace has dimension
-    < k, SolverError when a shifted pencil cannot be factored, and
+    < k, SolverError when the shifted operator cannot be factored (under
+    DIRICHLET_ZERO, when A_ff itself is singular), and
     NonConvergenceError past ``max_iter`` ARPACK restarts, on a Sturm
     count that is not met or on a failed residual test.
     """
@@ -264,7 +272,8 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
             f"requested {k} eigenpairs but the B-positive subspace has "
             f"dimension at most {avail}")
 
-    lu = _lu(A_ff + B_ff, "A + B")
+    sigma = 0.0 if constraint.kind == KIND_DIRICHLET_ZERO else -1.0
+    lu = _lu(A_ff, "A") if sigma == 0.0 else _lu(A_ff + B_ff, "A + B")
     b_ones = B_ff @ np.ones(nf)
     ones_b = float(b_ones.sum())
     rng = np.random.default_rng(seed)
@@ -289,7 +298,7 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
         else:
             try:
                 _, V = spla.eigsh(
-                    A_ff, need, M=B_ff, sigma=-1.0, which="LM",
+                    A_ff, need, M=B_ff, sigma=sigma, which="LM",
                     OPinv=spla.LinearOperator((nf, nf), dtype=float,
                                               matvec=lambda x: project(lu.solve(x))),
                     v0=project(rng.standard_normal(nf)), rng=rng,
@@ -303,15 +312,19 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
             # more application of the shift-inverted operator removes it.
             Y = project(lu.solve(B_ff @ V))
         # Rayleigh-Ritz over span(X, Y) with B-orthonormalization;
-        # directions degenerate in B are dropped.
-        Y = np.column_stack([X, Y])
-        Br = Y.T @ (B_ff @ Y)
-        s, Q = sla.eigh(0.5 * (Br + Br.T))
-        keep = s > max(s[-1], 0.0) * 1e-12
-        if np.count_nonzero(keep) < k:
-            raise DegenerateBError(
-                "eigenvector subspace has fewer than k B-positive directions")
-        Z = Y @ (Q[:, keep] / np.sqrt(s[keep]))
+        # directions degenerate in B are dropped.  One pass leaves a Gram
+        # error of about eps times the condition of span(X, Y) in B, which
+        # for nearly dependent columns is enough to split close pairs
+        # wrongly; a second pass removes it.
+        Z = np.column_stack([X, Y])
+        for _ in range(2):
+            Br = Z.T @ (B_ff @ Z)
+            s, Q = sla.eigh(0.5 * (Br + Br.T))
+            keep = s > max(s[-1], 0.0) * 1e-12
+            if np.count_nonzero(keep) < k:
+                raise DegenerateBError(
+                    "eigenvector subspace has fewer than k B-positive directions")
+            Z = Z @ (Q[:, keep] / np.sqrt(s[keep]))
         Ar = Z.T @ (A_ff @ Z)
         theta, C = sla.eigh(0.5 * (Ar + Ar.T))
         theta, X = theta[:k], Z @ C[:, :k]

@@ -102,10 +102,12 @@ def neumann_lambda_m(m, tol=1e-8, seed=0):
 def steklov_basis(m, k, tol=1e-8, seed=0):
     """First k Steklov eigenpairs of K x = delta B x, including delta_0 = 0.
 
-    Solved by ``smallest_eigs``, shift-invert Lanczos on (K, B) with
-    shift -1; B is the boundary mass and is singular on interior
-    vertices, so the pairs live on the boundary-trace subspace and the
-    interior values are their discrete harmonic extensions.
+    delta_0 = 0 with the constant field 1/sqrt(perimeter) is exact; the
+    other k - 1 pairs are solved by ``smallest_eigs``, shift-invert
+    Lanczos on (K, B) with shift -1 on the boundary-mean-zero subspace.
+    B is the boundary mass and is singular on interior vertices, so the
+    pairs live on the boundary-trace subspace and the interior values
+    are their discrete harmonic extensions.
     """
     k = int(k)
     nb = len(m.boundary_vertices)
@@ -118,8 +120,14 @@ def steklov_basis(m, k, tol=1e-8, seed=0):
     # that keeps the mesh alive until the cycle collector runs.
     cached = cache.get(key)
     if cached is None or len(cached[0]) < k:
-        pairs = smallest_eigs(assemble_stiffness(m), assemble_boundary_mass(m), k,
-                              Constraint.none(), tol=tol, seed=seed)
+        B = assemble_boundary_mass(m)
+        ones = np.ones(B.shape[0])
+        b_ones = B @ ones
+        pairs = [(0.0, ones / np.sqrt(b_ones.sum()))]
+        if k > 1:
+            pairs += smallest_eigs(assemble_stiffness(m), B, k - 1,
+                                   Constraint.boundary_mean_zero(b_ones),
+                                   tol=tol, seed=seed)
         basis = SteklovBasis(
             mesh=m,
             eigenvalues=np.asarray([ev for ev, _ in pairs]),

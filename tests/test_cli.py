@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import divcurl as dc
 from divcurl.cli import main
@@ -126,6 +129,21 @@ def test_verify_bounds_seed_changes_runs(tmp_path, capsys):
     _, rep_b = run(capsys, "verify-bounds", "--gen", "square:n=6", "--draws", "2",
                    "--seed", "2")
     assert rep_a["runs"][0]["lhs"] != rep_b["runs"][0]["lhs"]
+
+
+def test_verify_bounds_factor_count(monkeypatch, capsys):
+    # lambda1, C0 (K_ii and B_bb), delta1 (K + B), two M2, and the solves'
+    # single-precision factors; the Steklov Sturm count is not needed
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    code, _ = run(capsys, "verify-bounds", "--gen",
+                  "annulus:rin=0.5,rout=1,rings=4,sectors=24", "--draws", "1",
+                  "--seed", "3")
+    assert code == 0
+    assert len(calls) == 11
 
 
 def test_usage_error_exit_code():
@@ -272,6 +290,19 @@ def test_nonfinite_const_is_bad_field(value, capsys):
     assert "--rho" in report["message"] and f"const:{value}" in report["message"]
 
 
+@pytest.mark.parametrize("spec, code", [
+    ("square:n=8,w=1e200,h=1e-200", "NONCONVERGENCE"),
+    ("square:n=2,h=1e308", "NONCONVERGENCE"),
+    ("square:n=1,h=1e-200", "DEGENERATE_B"),
+])
+def test_extreme_generator_scale_is_domain_error(spec, code, capsys):
+    # degenerate scales: the float32 preconditioner or the mass matrix
+    # over- or underflows
+    with np.errstate(all="ignore"):
+        assert exit_code(["solve-normal", "--gen", spec, "--omega", "const:1"]) == 1
+    assert json.loads(capsys.readouterr().out)["code"] == code
+
+
 def test_eig_small_mesh_matches_dense_reference(capsys):
     # k = 16 is every boundary vertex of square:n=4: the whole trace space
     m = dc.generate_rectangle(4, 4, 1.0, 1.0)
@@ -284,3 +315,60 @@ def test_eig_small_mesh_matches_dense_reference(capsys):
         assert code == 0
         values = np.asarray([row["value"] for row in report["table"]])
         assert np.abs(values - expect).max() <= 1e-8 * max(1.0, expect.max())
+
+
+# -- fuzzing solve-normal's --gen and const: specs ------------------------
+
+_SIZES = {"square": ("n",), "rect": ("nx", "ny"), "disk": ("rings", "sectors"),
+          "annulus": ("rings", "sectors")}
+_LENGTHS = {"square": ("w", "h"), "rect": ("w", "h"), "disk": ("r",),
+            "annulus": ("rin", "rout")}
+_BAD_NUMBERS = ["", "abc", "nan", "inf", "-inf", "1e999", "0x10", "1,5"]
+# Sizes stay at most 8, so every mesh is at most 8x8 cells.  Repeating a
+# strategy in one_of weights it, so most specs build a mesh.
+_sizes = st.integers(1, 8).map(str)
+_size_values = st.one_of(_sizes, _sizes, _sizes,
+                         st.sampled_from(["0", "-2", "2.5"] + _BAD_NUMBERS))
+_lengths = st.floats(0.1, 10.0).map(repr)
+_length_values = st.one_of(
+    _lengths, _lengths, st.sampled_from(["0", "-1", "1e-200", "1e-300", "1e200", "1e308"]),
+    st.sampled_from(_BAD_NUMBERS))
+# None and const:0 balance each other, so some draws solve.
+_const_specs = st.one_of(
+    st.none(), st.just("const:0"),
+    st.floats(-1e3, 1e3).map(lambda x: f"const:{x!r}"),
+    st.sampled_from(["const:", "const:abc", "const:nan", "const:-inf",
+                     "const:1e999", "const:1e308", "const:-1e308", "const:1e-320"]))
+
+
+@st.composite
+def _gen_specs(draw):
+    kind = draw(st.sampled_from([*_SIZES, *_SIZES, "cube"]))
+    if kind not in _SIZES:
+        return f"{kind}:n=2"
+    items = [f"{key}={draw(_size_values)}" for key in _SIZES[kind]]
+    items += [f"{key}={draw(_length_values)}" for key in _LENGTHS[kind]
+              if draw(st.booleans())]
+    if draw(st.integers(0, 3)) == 3:
+        items.append(draw(st.sampled_from(["n", "=3", "w=", "x=1"])))
+    return f"{kind}:" + ",".join(draw(st.permutations(items)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_gen_specs(), _const_specs, _const_specs, _const_specs)
+@example("annulus:rings=2,sectors=8,rin=0.25", None, "const:-2.5", "const:0")
+@example("disk:rings=2,sectors=8", "const:1", None, "const:0.5")
+def test_solve_normal_fuzz_exits_cleanly(spec, rho, omega, eta_nu):
+    argv = ["solve-normal", "--gen", spec]
+    for flag, value in (("--rho", rho), ("--omega", omega), ("--eta-nu", eta_nu)):
+        if value is not None:
+            argv += [flag, value]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = exit_code(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert json.loads(out.getvalue())["status"] == "ok"
+    elif code == 1:
+        report = json.loads(out.getvalue())
+        assert report["status"] == "error" and report["code"]

@@ -69,6 +69,41 @@ def test_assembled_matrices_bitwise_symmetric(square, annulus):
             assert (mat - mat.T).nnz == 0
 
 
+PRUNING_MESHES = {
+    "annulus": lambda: dc.generate_annulus(0.5, 1.0, 4, 24),
+    "disk": lambda: dc.generate_disk(4, 24, 1.0),
+    "square": lambda: dc.generate_rectangle(6, 6, 1.0, 1.0),
+}
+
+
+def _pattern(mat):
+    coo = mat.tocoo()
+    return np.sort(coo.row.astype(np.int64) * mat.shape[0] + coo.col)
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_MESHES))
+def test_stiffness_drops_roundoff_couplings(name):
+    m = PRUNING_MESHES[name]()
+    K = dc.assemble_stiffness(m)
+    coo = K.tocoo()
+    root = np.sqrt(K.diagonal())
+    off = coo.row != coo.col
+    assert np.all(np.abs(coo.data[off]) > 1e-13 * root[coo.row[off]] * root[coo.col[off]])
+    # one stored entry per vertex and two per edge, less the dropped ones
+    assert K.nnz < len(m.vertices) + 2 * len(m.edges)
+    assert (K - K.T).nnz == 0
+    assert np.linalg.norm(K @ np.ones(K.shape[0])) <= 1e-13 * K.diagonal().max()
+    f = dc.ScalarField(m, np.random.default_rng(8).standard_normal(len(m.vertices)))
+    energy = dc.l2_norm(dc.gradient(f)) ** 2
+    assert abs(f.coeffs @ (K @ f.coeffs) - energy) <= 1e-13 * energy
+    c, s = np.cos(0.7), np.sin(0.7)
+    moved = [m.vertices @ np.array([[c, s], [-s, c]]) + np.array([3.0, -2.0]),
+             2.0 * m.vertices, 0.25 * m.vertices]
+    for vertices in moved:
+        other = dc.Mesh(vertices, m.triangles, m.boundary_edges)
+        np.testing.assert_array_equal(_pattern(dc.assemble_stiffness(other)), _pattern(K))
+
+
 def test_gradient_reproduces_linears(square):
     f = dc.ScalarField.from_function(square, lambda x, y: x)
     assert np.abs(dc.gradient(f).values - [1.0, 0.0]).max() < 1e-13

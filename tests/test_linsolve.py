@@ -314,6 +314,43 @@ def test_eigs_match_dense_reference(small_mesh, name):
             assert np.abs(off).max() <= 1e-6 * np.abs(x).max(), (k, j)
 
 
+@pytest.mark.parametrize("name", ["dirichlet", "mean_zero", "steklov", "mixed"])
+def test_whole_subspace_eigs_are_accurate_to_roundoff(small_mesh, name):
+    # k = avail takes Rayleigh-Ritz over the whole B-positive subspace,
+    # whose basis is far from B-orthogonal; one B-orthonormalization pass
+    # leaves errors near 1e-9 on the square's mixed pencil, two leave 1e-13.
+    A, B, constraint, free, skip = _pencil(small_mesh, name)
+    values, V = dense_pencil(A, B, free)
+    Bf = B.toarray() if free is None else B.toarray()[np.ix_(free, free)]
+    k = len(values) - skip
+    pairs = smallest_eigs(A, B, k, constraint, tol=1e-8)
+    theta = np.asarray([v for v, _ in pairs])
+    X = np.column_stack([x for _, x in pairs])
+    X = X if free is None else X[free]
+    assert np.abs(X.T @ Bf @ X - np.eye(k)).max() <= 1e-11
+    assert np.abs(theta - values[skip:]).max() <= 1e-11 * values[-1]
+    for j in range(k):
+        cluster = V[:, np.abs(values - theta[j]) <= 1e-4 * max(1.0, theta[j])]
+        off = X[:, j] - cluster @ (cluster.T @ (Bf @ X[:, j]))
+        assert np.abs(off).max() <= 1e-8 * np.abs(X[:, j]).max(), j
+
+
+def test_dirichlet_eigs_factor_the_eliminated_operator(monkeypatch):
+    # sigma = 0: the LU is of A_ff alone, not of A_ff + B_ff, whose mass
+    # pattern would restore the couplings assemble_stiffness dropped.
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **k: factored.append(A) or splu(A, **k))
+    m = dc.generate_rectangle(6, 6, 1.0, 1.0)
+    K, M = dc.assemble_stiffness(m), dc.assemble_mass(m)
+    iv = m.interior_vertices
+    smallest_eigs(K, M, 1, Constraint.dirichlet_zero(m.boundary_vertices))
+    A_ff = K[iv][:, iv]
+    assert len(factored) == 1
+    assert factored[0].nnz == A_ff.nnz < M[iv][:, iv].nnz
+    assert (factored[0] != A_ff).nnz == 0
+
+
 def test_eigs_restart_limit_is_nonconvergence(square):
     K, M = dc.assemble_stiffness(square), dc.assemble_mass(square)
     with pytest.raises(NonConvergenceError) as err:

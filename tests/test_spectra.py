@@ -55,6 +55,22 @@ def test_steklov_basis_invariants(disk):
     assert np.abs(basis.fields[0].coeffs - disk.perimeter ** -0.5).max() < 1e-8
 
 
+def test_steklov_delta0_is_exact_and_delta1_takes_one_factor(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    m = dc.generate_annulus(0.5, 1.0, 2, 16)
+    basis = dc.steklov_basis(m, 2)
+    # delta_1 is a k = 1 solve: one shift-invert factor, no Sturm count
+    assert len(calls) == 1
+    assert basis.eigenvalues[0] == 0.0
+    c = basis.fields[0].coeffs
+    assert np.ptp(c) == 0.0
+    assert abs(c[0] - m.perimeter ** -0.5) <= 1e-15
+
+
 def test_steklov_disk_spectrum():
     m = dc.generate_disk(12, 96, 1.0)
     basis = dc.steklov_basis(m, 6, tol=1e-9)
