@@ -2,11 +2,17 @@
 
 Subcommands cover mesh generation and IO, eigenvalue tables, field
 decomposition, the three boundary value solvers, randomized bound
-verification and manufactured-solution convergence studies.  Runs emit
-a JSON report (plus CSV tables and field files) into --out; reports are
-byte-reproducible for a fixed seed except for the single ``timestamp``
-key.  Exit codes: 0 success, 1 domain error (structured error JSON on
-stdout), 2 usage error.
+verification and manufactured-solution convergence studies.  Each
+subcommand accepts only the flags its handler reads (``_COMMANDS``),
+spelled in full.  Every flag is defined once in ``_OPTIONS``, and
+argparse rejects any other flag, a count below its minimum and a
+tolerance that is not positive and finite.  ``--gen kind:key=value,...`` builds a mesh from
+``_GENERATORS``; an unknown kind or key, an empty, repeated or missing
+key, a non-finite number and a fractional size are BAD_GENERATOR
+errors.  Runs emit a JSON report (plus CSV tables and field files) into
+--out; reports are byte-reproducible for a fixed seed except for the
+single ``timestamp`` key.  Exit codes: 0 success, 1 domain error
+(structured error JSON on stdout), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,52 +70,59 @@ def _write_csv(out_dir, name, header, rows):
         writer.writerows(rows)
 
 
+# kind -> (builder, {key: (type, default)}); a key whose default is None
+# is required.  The builders look the generators up when called, so the
+# timing wrappers perfbench/spans.py installs on this module see each call.
+_GENERATORS = {
+    "square": (lambda p: generate_rectangle(p["n"], p["n"], p["w"], p["h"]),
+               {"n": (int, 16), "w": (float, 1.0), "h": (float, 1.0)}),
+    "rect": (lambda p: generate_rectangle(p["nx"], p["ny"], p["w"], p["h"]),
+             {"nx": (int, None), "ny": (int, None), "w": (float, 1.0), "h": (float, 1.0)}),
+    "disk": (lambda p: generate_disk(p["rings"], p["sectors"], p["r"]),
+             {"rings": (int, 8), "sectors": (int, 64), "r": (float, 1.0)}),
+    "annulus": (lambda p: generate_annulus(p["rin"], p["rout"], p["rings"], p["sectors"]),
+                {"rin": (float, 0.5), "rout": (float, 1.0), "rings": (int, 4),
+                 "sectors": (int, 64)}),
+}
+
+
 def _parse_gen(spec):
-    """Inline generator specs: square:n=32 | disk:rings=8,sectors=64,r=1 |
-    annulus:rin=0.5,rout=1,rings=4,sectors=64 | rect:nx=8,ny=4,w=2,h=1."""
+    """The mesh of an inline generator spec ``kind:key=value,...``."""
     kind, _, rest = spec.partition(":")
+    if kind not in _GENERATORS:
+        raise DivCurlError(f"unknown generator kind {kind!r} "
+                           f"(expected {'|'.join(_GENERATORS)})", code="BAD_GENERATOR")
+    build, keys = _GENERATORS[kind]
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise DivCurlError(f"bad generator parameter {item!r} in {spec!r}",
-                                   code="BAD_GENERATOR")
-            name = key.strip()
-            try:
-                params[name] = float(value)
-            except ValueError:
-                params[name] = np.nan
-            if not np.isfinite(params[name]):
-                raise DivCurlError(
-                    f"generator parameter {name!r} in {spec!r} must be a finite "
-                    f"number, got {value!r}", code="BAD_GENERATOR", parameter=name)
-    try:
-        if kind == "square":
-            n = int(params.get("n", 16))
-            return generate_rectangle(n, n, params.get("w", 1.0), params.get("h", 1.0))
-        if kind == "rect":
-            return generate_rectangle(int(params["nx"]), int(params["ny"]),
-                                      params.get("w", 1.0), params.get("h", 1.0))
-        if kind == "disk":
-            return generate_disk(int(params.get("rings", 8)),
-                                 int(params.get("sectors", 64)),
-                                 params.get("r", 1.0))
-        if kind == "annulus":
-            return generate_annulus(params.get("rin", 0.5), params.get("rout", 1.0),
-                                    int(params.get("rings", 4)),
-                                    int(params.get("sectors", 64)))
-    except KeyError as exc:
-        raise DivCurlError(f"generator {spec!r} is missing parameter {exc}",
-                           code="BAD_GENERATOR")
-    raise DivCurlError(f"unknown generator kind {kind!r} "
-                       "(expected square|rect|disk|annulus)", code="BAD_GENERATOR")
+    for item in rest.split(",") if rest else ():
+        name, _, text = item.partition("=")
+        name = name.strip()
+        if name not in keys or name in params:
+            why = "repeated" if name in params else f"unknown (expected {', '.join(keys)})"
+            raise DivCurlError(f"generator parameter {name!r} in {spec!r} is {why}",
+                               code="BAD_GENERATOR", parameter=name)
+        convert = keys[name][0]
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value) or (convert is int and not value.is_integer()):
+            raise DivCurlError(
+                f"generator parameter {name!r} in {spec!r} must be a finite "
+                f"{'integer' if convert is int else 'number'}, got {text!r}",
+                code="BAD_GENERATOR", parameter=name)
+        params[name] = convert(value)
+    for name, (_, default) in keys.items():
+        if params.setdefault(name, default) is None:
+            raise DivCurlError(f"generator {spec!r} is missing parameter {name!r}",
+                               code="BAD_GENERATOR", parameter=name)
+    return build(params)
 
 
 def _get_mesh(args):
-    if getattr(args, "gen", None):
+    if args.gen:
         return _parse_gen(args.gen)
-    if getattr(args, "mesh", None):
+    if args.mesh:
         return load_mesh(args.mesh)
     raise DivCurlError("provide --gen or --mesh", code="NO_MESH")
 
@@ -136,70 +151,90 @@ def _parse_arcs(m, spec):
     return rows
 
 
-def _parse_const(spec, flag):
-    """The finite number of a ``const:<value>`` data flag."""
-    try:
-        value = float(spec.split(":", 1)[1])
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise DivCurlError(
-            f"bad constant {spec!r} for {flag}; expected const:<finite number>",
-            code="BAD_FIELD", flag=flag, value=spec)
-    return value
+# DivCurlData's data fields, each read from the flag of its name; a solve-*
+# subcommand without that flag leaves the field None
+_DATA = (("rho", ScalarField), ("omega", ScalarField),
+         ("eta_nu", BoundaryFunction), ("eta_tau", BoundaryFunction))
 
 
-def _parse_scalar(m, spec, flag):
+def _parse_data(m, spec, name, kind):
+    """The field of data flag --<name>: a field file, or const:<value>."""
     if spec is None:
         return None
+    flag = "--" + name.replace("_", "-")
     if spec.startswith("const:"):
-        return ScalarField(m, np.full(len(m.vertices), _parse_const(spec, flag)))
+        try:
+            value = float(spec.split(":", 1)[1])
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise DivCurlError(
+                f"bad constant {spec!r} for {flag}; expected const:<finite number>",
+                code="BAD_FIELD", flag=flag, value=spec)
+        nodes = m.vertices if kind is ScalarField else m.boundary_vertices
+        return kind(m, np.full(len(nodes), value))
     field = load_field(spec, m)
-    if not isinstance(field, ScalarField):
-        raise DivCurlError(f"{spec} does not hold a scalar field", code="BAD_FIELD")
-    return field
-
-
-def _parse_boundary(m, spec, flag):
-    if spec is None:
-        return None
-    if spec.startswith("const:"):
-        return BoundaryFunction(m, np.full(len(m.boundary_vertices),
-                                           _parse_const(spec, flag)))
-    field = load_field(spec, m)
-    if not isinstance(field, BoundaryFunction):
-        raise DivCurlError(f"{spec} does not hold a boundary function",
+    if not isinstance(field, kind):
+        raise DivCurlError(f"{spec} does not hold a {kind.__name__} for {flag}",
                            code="BAD_FIELD")
     return field
 
 
 def _partition(m, args):
-    gamma_nu = getattr(args, "gamma_nu", None)
-    gamma_tau = getattr(args, "gamma_tau", None)
-    if gamma_nu is None and gamma_tau is None:
+    """The arcs of --gamma-nu and --gamma-tau; either defaults to the
+    complement of the other, and the mesh's tags serve when both are absent."""
+    if args.gamma_nu is None and args.gamma_tau is None:
         return BoundaryPartition.from_tags(m)
-    nb = len(m.boundary_edges)
-    if gamma_nu is not None:
-        nu = _parse_arcs(m, gamma_nu)
-        tau = _parse_arcs(m, gamma_tau) if gamma_tau else set(range(nb)) - nu
-    else:
-        tau = _parse_arcs(m, gamma_tau)
-        nu = set(range(nb)) - tau
-    return BoundaryPartition(m, frozenset(nu), frozenset(tau))
+    nu, tau = (None if spec is None else _parse_arcs(m, spec)
+               for spec in (args.gamma_nu, args.gamma_tau))
+    every = set(range(len(m.boundary_edges)))
+    return BoundaryPartition(m, frozenset(every - tau if nu is None else nu),
+                             frozenset(every - nu if tau is None else tau))
+
+
+class _Solver(NamedTuple):
+    solve: Callable             # (data, tol, eig_tol, steklov_terms=None) -> solution
+    eta: str | None             # the datum random and manufactured data shift
+    residual: Callable | None   # (data) -> the compatibility residual of eta
+
+
+# problem -> solver.  The lambdas look the solvers up when called, so the
+# timing wrappers perfbench/spans.py installs on bvp see each call.
+_SOLVERS = {
+    "normal": _Solver(
+        lambda data, tol, eig_tol, terms=None: bvp.solve_normal(
+            data, tol=tol, eig_tol=eig_tol, steklov_terms=terms),
+        "eta_nu", lambda data: bvp.check_compat_normal(data.rho, data.eta_nu)),
+    "tangential": _Solver(
+        lambda data, tol, eig_tol, terms=None: bvp.solve_tangential(
+            data, tol=tol, eig_tol=eig_tol, steklov_terms=terms),
+        "eta_tau", lambda data: bvp.check_compat_tangential(data.omega, data.eta_tau)),
+    "mixed": _Solver(
+        lambda data, tol, eig_tol, terms=None: bvp.solve_mixed(
+            data, tol=tol, eig_tol=eig_tol),
+        None, None),
+}
+
+
+def _balanced(problem, m, rho, omega, eta):
+    """Normal or tangential data whose boundary datum is eta shifted by the
+    constant that makes the compatibility residual vanish."""
+    solver = _SOLVERS[problem]
+    data = bvp.DivCurlData(mesh=m, rho=rho, omega=omega, **{solver.eta: eta})
+    shift = solver.residual(data) / m.perimeter
+    return replace(data, **{solver.eta: eta + BoundaryFunction(
+        m, np.full(len(m.boundary_vertices), shift))})
 
 
 # -- subcommand handlers ------------------------------------------------
 
 
 def _cmd_mesh(args):
-    if args.action == "gen":
-        if not args.gen:
-            raise DivCurlError("mesh gen requires --gen", code="NO_MESH")
-        m = _parse_gen(args.gen)
-    elif args.action == "refine":
-        m = refine_uniform(_get_mesh(args))
-    else:
-        m = _get_mesh(args)
+    if args.action == "gen" and not args.gen:
+        raise DivCurlError("mesh gen requires --gen", code="NO_MESH")
+    m = _get_mesh(args)
+    if args.action == "refine":
+        m = refine_uniform(m)
     payload = {"command": f"mesh {args.action}", "status": "ok", "mesh": m.info()}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -267,63 +302,36 @@ def _cmd_decompose(args):
     return 0
 
 
-def _solution_payload(command, sol):
-    payload = sol.report.as_dict()
-    payload.update({"command": command, "status": "ok",
-                    "compat_residual": sol.compat_residual})
-    return payload
-
-
-def _save_solution(out_dir, sol):
-    if not out_dir:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    save_field(sol.v, os.path.join(out_dir, "v.txt"))
-    save_field(sol.phi, os.path.join(out_dir, "phi.txt"))
-    save_field(sol.psi, os.path.join(out_dir, "psi.txt"))
-    if sol.chi is not None:
-        save_field(sol.chi, os.path.join(out_dir, "chi.txt"))
-
-
 def _cmd_solve(args):
     m = _get_mesh(args)
+    problem = args.command.removeprefix("solve-")
     data = bvp.DivCurlData(
-        mesh=m,
-        rho=_parse_scalar(m, args.rho, "--rho"),
-        omega=_parse_scalar(m, args.omega, "--omega"),
-        eta_nu=_parse_boundary(m, args.eta_nu, "--eta-nu"),
-        eta_tau=_parse_boundary(m, args.eta_tau, "--eta-tau"),
-        partition=_partition(m, args) if args.problem == "mixed" else None)
-    if args.problem == "normal":
-        sol = bvp.solve_normal(data, tol=args.tol, eig_tol=args.eig_tol,
-                               steklov_terms=args.steklov_terms)
-    elif args.problem == "tangential":
-        sol = bvp.solve_tangential(data, tol=args.tol, eig_tol=args.eig_tol,
-                                   steklov_terms=args.steklov_terms)
-    else:
-        sol = bvp.solve_mixed(data, tol=args.tol, eig_tol=args.eig_tol)
-    _save_solution(args.out, sol)
-    _write_report(args.out, _solution_payload(f"solve-{args.problem}", sol))
+        mesh=m, **{name: _parse_data(m, getattr(args, name, None), name, kind)
+                   for name, kind in _DATA},
+        partition=_partition(m, args) if problem == "mixed" else None)
+    sol = _SOLVERS[problem].solve(data, args.tol, args.eig_tol,
+                                  getattr(args, "steklov_terms", None))
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        for name in ("v", "phi", "psi", "chi"):
+            if getattr(sol, name) is not None:  # the mixed solution has no chi
+                save_field(getattr(sol, name), os.path.join(args.out, f"{name}.txt"))
+    payload = sol.report.as_dict()
+    payload.update({"command": args.command, "status": "ok",
+                    "compat_residual": sol.compat_residual})
+    _write_report(args.out, payload)
     return 0
 
 
-def _random_draw(m, rng, problem, partition=None):
+def _random_draw(m, rng, problem, partition):
     rho = ScalarField(m, rng.standard_normal(len(m.vertices)))
     omega = ScalarField(m, rng.standard_normal(len(m.vertices)))
     eta_nu = BoundaryFunction(m, rng.standard_normal(len(m.boundary_vertices)))
     eta_tau = BoundaryFunction(m, rng.standard_normal(len(m.boundary_vertices)))
-    if problem == "normal":
-        shift = bvp.check_compat_normal(rho, eta_nu) / m.perimeter
-        eta_nu = eta_nu + BoundaryFunction(
-            m, np.full(len(m.boundary_vertices), shift))
-        return bvp.DivCurlData(mesh=m, rho=rho, omega=omega, eta_nu=eta_nu)
-    if problem == "tangential":
-        shift = bvp.check_compat_tangential(omega, eta_tau) / m.perimeter
-        eta_tau = eta_tau + BoundaryFunction(
-            m, np.full(len(m.boundary_vertices), shift))
-        return bvp.DivCurlData(mesh=m, rho=rho, omega=omega, eta_tau=eta_tau)
-    return bvp.DivCurlData(mesh=m, rho=rho, omega=omega, eta_nu=eta_nu,
-                           eta_tau=eta_tau, partition=partition)
+    if problem == "mixed":
+        return bvp.DivCurlData(mesh=m, rho=rho, omega=omega, eta_nu=eta_nu,
+                               eta_tau=eta_tau, partition=partition)
+    return _balanced(problem, m, rho, omega, eta_nu if problem == "normal" else eta_tau)
 
 
 def _default_partition(m):
@@ -339,16 +347,12 @@ def _cmd_verify_bounds(args):
     m = _get_mesh(args)
     rng = np.random.default_rng(args.seed)
     partition = _default_partition(m)
-    solvers = {"normal": bvp.solve_normal, "tangential": bvp.solve_tangential}
     runs = []
     all_ok = True
-    for problem in ("normal", "tangential", "mixed"):
+    for problem, solver in _SOLVERS.items():
         for draw in range(args.draws):
             data = _random_draw(m, rng, problem, partition)
-            if problem == "mixed":
-                sol = bvp.solve_mixed(data, tol=args.tol, eig_tol=args.eig_tol)
-            else:
-                sol = solvers[problem](data, tol=args.tol, eig_tol=args.eig_tol)
+            sol = solver.solve(data, args.tol, args.eig_tol)
             entry = sol.report.as_dict()
             entry.update({"problem": problem, "draw": draw,
                           "compat_residual": sol.compat_residual})
@@ -378,6 +382,22 @@ def _vstar_tangential(x, y):
     return py - px + 2 * y, -px - py + 2 * x
 
 
+def _vstar_mixed(x, y):
+    # phi* = sin(pi x)(1 - y) vanishes on left/right/top; psi* = x(1-x) y
+    # vanishes on the bottom; v* = perp_grad(psi*) - grad(phi*).
+    vx = x * (1 - x) - _PI * np.cos(_PI * x) * (1 - y)
+    vy = -(1 - 2 * x) * y + np.sin(_PI * x)
+    return vx, vy
+
+
+def _trace(m, vstar, tangential, tol):
+    """Projection of vstar . tau (tangential) or vstar . nu onto the boundary."""
+    def component(x, y, nu, tau):
+        frame = tau if tangential else nu
+        return vstar(x, y)[0] * frame[:, 0] + vstar(x, y)[1] * frame[:, 1]
+    return project_boundary_function(m, component, tol=tol)
+
+
 def _manufactured_case(case, m, tol, eig_tol):
     """Returns (error, reference_norm) for one mesh level."""
     sin2 = lambda x, y: 2 * _PI ** 2 * np.sin(_PI * x) * np.sin(_PI * y)
@@ -387,57 +407,27 @@ def _manufactured_case(case, m, tol, eig_tol):
         exact = ScalarField.from_function(
             m, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y))
         return scalar_l2_norm(phi - exact), scalar_l2_norm(exact)
-    if case in ("normal", "tangential"):
-        vstar = _vstar_normal if case == "normal" else _vstar_tangential
-        rho = ScalarField.from_function(m, sin2)
-        if case == "normal":
-            eta = project_boundary_function(
-                m, lambda x, y, nu, tau:
-                vstar(x, y)[0] * nu[:, 0] + vstar(x, y)[1] * nu[:, 1], tol=tol)
-            shift = bvp.check_compat_normal(rho, eta) / m.perimeter
-            eta = eta + BoundaryFunction(m, np.full(len(m.boundary_vertices), shift))
-            data = bvp.DivCurlData(mesh=m, rho=rho, omega=rho, eta_nu=eta)
-            sol = bvp.solve_normal(data, tol=tol, eig_tol=eig_tol)
-        else:
-            eta = project_boundary_function(
-                m, lambda x, y, nu, tau:
-                vstar(x, y)[0] * tau[:, 0] + vstar(x, y)[1] * tau[:, 1], tol=tol)
-            shift = bvp.check_compat_tangential(rho, eta) / m.perimeter
-            eta = eta + BoundaryFunction(m, np.full(len(m.boundary_vertices), shift))
-            data = bvp.DivCurlData(mesh=m, rho=rho, omega=rho, eta_tau=eta)
-            sol = bvp.solve_tangential(data, tol=tol, eig_tol=eig_tol)
-        ref = VectorField.from_function(m, vstar)
-        return l2_norm(sol.v - ref), l2_norm(ref)
     if case == "mixed":
-        # phi* = sin(pi x)(1 - y) vanishes on left/right/top; psi* = x(1-x) y
-        # vanishes on the bottom; v* = perp_grad(psi*) - grad(phi*).
+        vstar = _vstar_mixed
         frames = m.boundary_edge_frames
         bottom = {int(r) for r in range(len(m.boundary_edges))
                   if abs(frames[r, 0, 1] + 1.0) < 1e-12}
-        partition = BoundaryPartition(
-            m, frozenset(bottom),
-            frozenset(set(range(len(m.boundary_edges))) - bottom))
-        rho = ScalarField.from_function(
-            m, lambda x, y: _PI ** 2 * np.sin(_PI * x) * (1 - y))
-        omega = ScalarField.from_function(m, lambda x, y: 2 * y)
-
-        def vstar(x, y):
-            vx = x * (1 - x) - _PI * np.cos(_PI * x) * (1 - y)
-            vy = -(1 - 2 * x) * y + np.sin(_PI * x)
-            return vx, vy
-
-        eta_nu = project_boundary_function(
-            m, lambda x, y, nu, tau:
-            vstar(x, y)[0] * nu[:, 0] + vstar(x, y)[1] * nu[:, 1], tol=tol)
-        eta_tau = project_boundary_function(
-            m, lambda x, y, nu, tau:
-            vstar(x, y)[0] * tau[:, 0] + vstar(x, y)[1] * tau[:, 1], tol=tol)
-        data = bvp.DivCurlData(mesh=m, rho=rho, omega=omega, eta_nu=eta_nu,
-                               eta_tau=eta_tau, partition=partition)
-        sol = bvp.solve_mixed(data, tol=tol, eig_tol=eig_tol)
-        ref = VectorField.from_function(m, vstar)
-        return l2_norm(sol.v - ref), l2_norm(ref)
-    raise DivCurlError(f"unknown convergence case {case!r}", code="BAD_CASE")
+        data = bvp.DivCurlData(
+            mesh=m,
+            rho=ScalarField.from_function(
+                m, lambda x, y: _PI ** 2 * np.sin(_PI * x) * (1 - y)),
+            omega=ScalarField.from_function(m, lambda x, y: 2 * y),
+            eta_nu=_trace(m, vstar, False, tol), eta_tau=_trace(m, vstar, True, tol),
+            partition=BoundaryPartition(
+                m, frozenset(bottom),
+                frozenset(set(range(len(m.boundary_edges))) - bottom)))
+    else:
+        vstar = _vstar_normal if case == "normal" else _vstar_tangential
+        rho = ScalarField.from_function(m, sin2)
+        data = _balanced(case, m, rho, rho, _trace(m, vstar, case == "tangential", tol))
+    sol = _SOLVERS[case].solve(data, tol, eig_tol)
+    ref = VectorField.from_function(m, vstar)
+    return l2_norm(sol.v - ref), l2_norm(ref)
 
 
 def _cmd_convergence(args):
@@ -464,89 +454,90 @@ def _cmd_convergence(args):
 # -- argument parsing ----------------------------------------------------
 
 
-def _add_common(parser, mesh=True):
-    if mesh:
-        parser.add_argument("--mesh", help="mesh file to load")
-        parser.add_argument("--gen", help="inline generator, e.g. square:n=32")
-    parser.add_argument("--out", help="output directory for artifacts")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="linear solve tolerance")
-    parser.add_argument("--eig-tol", dest="eig_tol", type=float, default=1e-8,
-                        help="eigenpair tolerance")
-    parser.add_argument("--seed", type=int, default=0)
+def _checked(convert, ok, what):
+    """An argparse type: convert(text), which must satisfy ok."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_TOL = _checked(float, lambda x: 0 < x < np.inf, "a positive finite number")
+_COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_SIZE = _checked(int, lambda n: n >= 1, "an integer >= 1")
+
+# Every flag, defined once; argparse derives the attribute from the name.
+_OPTIONS = {
+    "action": dict(choices=("gen", "refine", "info")),
+    "--mesh": dict(help="mesh file to load"),
+    "--gen": dict(help="inline generator, e.g. square:n=32"),
+    "--out": dict(help="output directory for artifacts"),
+    "--tol": dict(type=_TOL, default=1e-10, help="linear solve tolerance"),
+    "--eig-tol": dict(type=_TOL, default=1e-8, help="eigenpair tolerance"),
+    "--seed": dict(type=_COUNT, default=0, help="seed of the random data"),
+    "--which": dict(choices=("lambda1", "lambda_m", "steklov", "mixed", "all"),
+                    default="all"),
+    "--k": dict(type=_SIZE, default=7, help="Steklov pairs to compute"),
+    "--field": dict(required=True, help="vector field file"),
+    "--rho": dict(help="scalar field file or const:<value>"),
+    "--omega": dict(help="scalar field file or const:<value>"),
+    "--eta-nu": dict(help="boundary function file or const:<value>"),
+    "--eta-tau": dict(help="boundary function file or const:<value>"),
+    "--gamma-nu": dict(help="arc list loop:start:count[,...] of the flux piece"),
+    "--gamma-tau": dict(help="arc list of the tangential piece "
+                             "(default: the rest of the boundary)"),
+    "--steklov-terms": dict(type=_COUNT,
+                            help="use the truncated eigenfunction series for the "
+                                 "pure-flux step (cross-check mode)"),
+    "--draws": dict(type=_SIZE, default=20, help="random draws per problem"),
+    "--case": dict(choices=(*_SOLVERS, "poisson"), required=True),
+    "--levels": dict(type=_SIZE, default=4, help="mesh levels n = 8, 16, 32, ..."),
+}
+
+_MESH = ("--mesh", "--gen", "--out")
+_SOLVE = (*_MESH, "--tol", "--eig-tol", "--rho", "--omega", "--eta-nu")
+# subcommand -> (handler, help, the flags the handler reads)
+_COMMANDS = {
+    "mesh": (_cmd_mesh, "generate, refine or inspect meshes", ("action", *_MESH)),
+    "eig": (_cmd_eig, "eigenvalue tables",
+            (*_MESH, "--eig-tol", "--which", "--k", "--gamma-nu")),
+    "decompose": (_cmd_decompose, "harmonic decomposition of a vector field",
+                  (*_MESH, "--tol", "--field")),
+    "solve-normal": (_cmd_solve, "normal component prescribed on the boundary",
+                     (*_SOLVE, "--steklov-terms")),
+    "solve-tangential": (_cmd_solve, "tangential component prescribed on the boundary",
+                         (*_SOLVE, "--eta-tau", "--steklov-terms")),
+    "solve-mixed": (_cmd_solve, "normal component on gamma_nu, tangential on gamma_tau",
+                    (*_SOLVE, "--eta-tau", "--gamma-nu", "--gamma-tau")),
+    "verify-bounds": (_cmd_verify_bounds, "random-data check that every bound report holds",
+                      (*_MESH, "--tol", "--eig-tol", "--seed", "--draws")),
+    "convergence": (_cmd_convergence, "manufactured-solution study",
+                    ("--out", "--tol", "--eig-tol", "--case", "--levels")),
+}
 
 
 def build_parser():
+    # No abbreviations: a prefix such as --eta must not pass for the one
+    # flag of that prefix a subcommand happens to have.
     parser = argparse.ArgumentParser(
-        prog="divcurl",
+        prog="divcurl", allow_abbrev=False,
         description="Planar div-curl solves, decompositions and bound reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mesh", help="generate, refine or inspect meshes")
-    p.add_argument("action", choices=("gen", "refine", "info"))
-    _add_common(p)
-    p.set_defaults(func=_cmd_mesh)
-
-    p = sub.add_parser("eig", help="eigenvalue tables")
-    p.add_argument("--which", choices=("lambda1", "lambda_m", "steklov",
-                                       "mixed", "all"), default="all")
-    p.add_argument("--k", type=int, default=7, help="Steklov pairs to compute")
-    p.add_argument("--gamma-nu", dest="gamma_nu",
-                   help="arc list loop:start:count[,...] for the mixed eigenvalue")
-    _add_common(p)
-    p.set_defaults(func=_cmd_eig)
-
-    p = sub.add_parser("decompose", help="harmonic decomposition of a vector field")
-    p.add_argument("--field", required=True, help="vector field file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    for problem in ("normal", "tangential", "mixed"):
-        p = sub.add_parser(f"solve-{problem}")
-        p.add_argument("--rho", help="scalar field file or const:<value>")
-        p.add_argument("--omega", help="scalar field file or const:<value>")
-        p.add_argument("--eta-nu", dest="eta_nu",
-                       help="boundary function file or const:<value>")
-        p.add_argument("--eta-tau", dest="eta_tau",
-                       help="boundary function file or const:<value>")
-        p.add_argument("--gamma-nu", dest="gamma_nu",
-                       help="arc list for the flux piece (mixed problem)")
-        p.add_argument("--gamma-tau", dest="gamma_tau",
-                       help="arc list for the tangential piece (mixed problem)")
-        p.add_argument("--steklov-terms", dest="steklov_terms", type=int,
-                       help="use the truncated eigenfunction series for the "
-                            "pure-flux step (cross-check mode)")
-        _add_common(p)
-        p.set_defaults(func=_cmd_solve, problem=problem)
-
-    p = sub.add_parser("verify-bounds",
-                       help="random-data check that every bound report holds")
-    p.add_argument("--draws", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_bounds)
-
-    p = sub.add_parser("convergence", help="manufactured-solution study")
-    p.add_argument("--case", choices=("normal", "tangential", "mixed", "poisson"),
-                   required=True)
-    p.add_argument("--levels", type=int, default=4)
-    _add_common(p, mesh=False)
-    p.set_defaults(func=_cmd_convergence)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol <= 0 or args.eig_tol <= 0:
-        parser.error("tolerances must be positive")
-    if getattr(args, "k", 1) < 1:
-        parser.error("--k must be >= 1")
-    if getattr(args, "draws", 1) < 1:
-        parser.error("--draws must be >= 1")
-    if (getattr(args, "steklov_terms", None) or 0) < 0:
-        parser.error("--steklov-terms must be >= 0")
-    if getattr(args, "levels", 1) < 1:
-        parser.error("--levels must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DivCurlError as exc:

@@ -429,6 +429,42 @@ def test_estimate_c0_scaling():
         constants(dc.Mesh(moved, m.triangles, m.boundary_edges)), base, rtol=1e-8)
 
 
+def test_reports_invariant_under_rigid_motion():
+    # The same nodal data and partition rows on a rotated and translated
+    # copy of the mesh: every norm and constant in the bounds is invariant,
+    # so are lhs and each term.
+    m = dc.generate_rectangle(12, 8, 1.5, 1.0)
+    c, s = np.cos(0.7), np.sin(0.7)
+    moved = dc.Mesh(m.vertices @ np.array([[c, s], [-s, c]]) + np.array([3.0, -2.0]),
+                    m.triangles, m.boundary_edges)
+    rng = np.random.default_rng(11)
+    rho, omega = random_scalar(m, rng), random_scalar(m, rng)
+    eta_nu, eta_tau = random_boundary(m, rng), random_boundary(m, rng)
+    shifted_nu = shift_to_normal_compat(m, rho, eta_nu).values
+    shifted_tau = shift_to_tangential_compat(m, omega, eta_tau).values
+    nb = len(m.boundary_edges)
+    nu = frozenset(range(nb // 3, nb // 3 + nb // 2))
+
+    def reports(mesh):
+        r, o = dc.ScalarField(mesh, rho.coeffs), dc.ScalarField(mesh, omega.coeffs)
+        bf = lambda values: dc.BoundaryFunction(mesh, values)
+        partition = dc.BoundaryPartition(mesh, nu, frozenset(range(nb)) - nu)
+        return [
+            bvp.solve_normal(dc.DivCurlData(mesh, rho=r, omega=o, eta_nu=bf(shifted_nu)),
+                             tol=1e-12).report,
+            bvp.solve_tangential(dc.DivCurlData(mesh, rho=r, omega=o,
+                                                eta_tau=bf(shifted_tau)), tol=1e-12).report,
+            bvp.solve_mixed(dc.DivCurlData(mesh, rho=r, omega=o, eta_nu=bf(eta_nu.values),
+                                           eta_tau=bf(eta_tau.values), partition=partition),
+                            tol=1e-12).report,
+        ]
+
+    for base, other in zip(reports(m), reports(moved)):
+        assert base.terms.keys() == other.terms.keys()
+        np.testing.assert_allclose([other.lhs, *other.terms.values()],
+                                   [base.lhs, *base.terms.values()], rtol=1e-9)
+
+
 def test_estimate_c0_factors_interior_stiffness_and_trace_mass(monkeypatch):
     import scipy.sparse.linalg as spla
 

@@ -372,3 +372,163 @@ def test_solve_normal_fuzz_exits_cleanly(spec, rho, omega, eta_nu):
     elif code == 1:
         report = json.loads(out.getvalue())
         assert report["status"] == "error" and report["code"]
+
+
+# -- generator specs, tolerances and per-subcommand flags -----------------
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("square:=3", ""), ("square:x=1", "x"), ("square:n=3,n=4", "n"),
+    ("disk:rings=2.5,sectors=8", "rings"), ("rect:nx=2", "ny"),
+])
+def test_bad_generator_key_is_domain_error(spec, key, capsys):
+    assert exit_code(["solve-normal", "--gen", spec]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "BAD_GENERATOR"
+    assert report["context"] == {"parameter": key}
+    assert repr(key) in report["message"]
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--eig-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_is_usage_error(flag, value, capsys):
+    assert exit_code(["solve-normal", "--gen", "square:n=4", flag, value]) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_empty_gamma_tau_is_domain_error(capsys):
+    code = exit_code(["solve-mixed", "--gen", "square:n=4", "--gamma-nu", "0:0:8",
+                      "--gamma-tau", ""])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["code"] == "BAD_ARC"
+
+
+_BASE_ARGV = {
+    "mesh": ["mesh", "info", "--gen", "square:n=2"],
+    "eig": ["eig", "--gen", "square:n=2"],
+    "decompose": ["decompose", "--gen", "square:n=2", "--field", "v.txt"],
+    "solve-normal": ["solve-normal", "--gen", "square:n=2"],
+    "solve-tangential": ["solve-tangential", "--gen", "square:n=2"],
+    "solve-mixed": ["solve-mixed", "--gen", "square:n=2"],
+    "verify-bounds": ["verify-bounds", "--gen", "square:n=2"],
+    "convergence": ["convergence", "--case", "poisson"],
+}
+_UNREAD_FLAGS = {
+    "mesh": ["--tol", "--eig-tol", "--seed"],
+    "eig": ["--tol", "--seed"],
+    "decompose": ["--eig-tol", "--seed"],
+    "solve-normal": ["--eta-tau", "--gamma-nu", "--gamma-tau", "--seed", "--eta"],
+    "solve-tangential": ["--gamma-nu", "--gamma-tau", "--seed"],
+    "solve-mixed": ["--steklov-terms", "--seed"],
+    "convergence": ["--seed"],
+    # prefixes of flags the handler reads are not abbreviations of them
+    "verify-bounds": ["--draw"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _UNREAD_FLAGS.items() for flag in flags])
+def test_flag_the_handler_does_not_read_is_usage_error(command, flag, capsys):
+    assert exit_code(_BASE_ARGV[command] + [flag, "1"]) == 2
+    assert flag in capsys.readouterr().err
+
+
+# -- fuzzing arc specs, mesh files and field files ------------------------
+
+
+def assert_exits_cleanly(argv):
+    """main returns 0, 1 or 2 without raising; exit 1 prints a coded error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            np.errstate(all="ignore"):
+        code = exit_code(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert json.loads(out.getvalue())["status"] == "ok"
+    elif code == 1:
+        report = json.loads(out.getvalue())
+        assert report["status"] == "error" and report["code"]
+
+
+_arcs = st.tuples(st.integers(0, 1), st.integers(-10, 20), st.integers(1, 8)).map(
+    lambda t: ":".join(map(str, t)))
+_arc_items = st.one_of(  # weighted towards well-formed arcs, as in _size_values
+    _arcs, _arcs, _arcs,
+    st.sampled_from(["", "0", "0:1", "0:0:1:1", "a:b:c", "0:0:2.5", "0: 0:4", "0:0:1e3",
+                     "-1:0:3", "2:0:3", "0:0:0", "0:0:9",
+                     "0:99999999999999999999:3", "0:0:99999999999999999999"]))
+_arc_specs = st.lists(_arc_items, min_size=1, max_size=3).map(",".join)
+_ARC_MESHES = ["square:n=2", "annulus:rin=0.5,rout=1,rings=1,sectors=8"]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(_ARC_MESHES), st.sampled_from(["nu", "tau", "both", "eig"]),
+       _arc_specs, _arc_specs)
+@example(_ARC_MESHES[1], "both", "1:0:8", "0:0:8")
+@example(_ARC_MESHES[0], "eig", "0:6:4", "")
+def test_arc_spec_fuzz_exits_cleanly(gen, target, nu, tau):
+    if target == "eig":
+        argv = ["eig", "--gen", gen, "--which", "mixed", f"--gamma-nu={nu}"]
+    else:
+        argv = ["solve-mixed", "--gen", gen, "--rho", "const:1"]
+        argv += [f"--gamma-nu={nu}"] if target in ("nu", "both") else []
+        argv += [f"--gamma-tau={tau}"] if target in ("tau", "both") else []
+    assert_exits_cleanly(argv)
+
+
+# mostly small numbers, which keep a file readable but change the mesh or field
+_TOKENS = [*"0123456789", "16", "-1", "0.5", "2.5", "1e308", "-1e-300", "nan", "-inf",
+           "abc", "99999999999999999999", "", "#", "$vertices", "$triangles",
+           "$boundary_edges", "$scalar", "$vector", "$boundary"]
+# (operation, line, column or second line, token); indices are taken modulo
+# the current length, so every edit applies to any file
+_edits = st.lists(st.tuples(st.sampled_from(["drop", "repeat", "swap", "cut", *["token"] * 4]),
+                            st.integers(0, 999), st.integers(0, 999),
+                            st.sampled_from(_TOKENS)), min_size=1, max_size=3)
+
+
+def _edited(text, edits):
+    lines = text.splitlines()
+    for op, i, j, token in edits:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "cut":
+            del lines[i:]
+        else:
+            parts = lines[i].split() or [""]
+            parts[j % len(parts)] = token
+            lines[i] = " ".join(parts)
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    dc.save_mesh(dc.generate_annulus(0.5, 1.0, 1, 8), path / "mesh.txt")
+    dc.save_field(dc.ScalarField.zeros(dc.generate_rectangle(4, 4, 1.0, 1.0)),
+                  path / "rho.txt")
+    return path
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(edits=_edits)
+def test_mesh_file_fuzz_exits_cleanly(fuzz_dir, edits):
+    path = fuzz_dir / "edited_mesh.txt"
+    path.write_text(_edited((fuzz_dir / "mesh.txt").read_text(), edits))
+    assert_exits_cleanly(["mesh", "info", "--mesh", str(path)])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(edits=_edits)
+def test_field_file_fuzz_exits_cleanly(fuzz_dir, edits):
+    path = fuzz_dir / "edited_rho.txt"
+    path.write_text(_edited((fuzz_dir / "rho.txt").read_text(), edits))
+    assert_exits_cleanly(["solve-normal", "--gen", "square:n=4", "--eta-nu", "const:0",
+                          "--rho", str(path)])
