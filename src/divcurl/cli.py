@@ -5,14 +5,15 @@ decomposition, the three boundary value solvers, randomized bound
 verification and manufactured-solution convergence studies.  Each
 subcommand accepts only the flags its handler reads (``_COMMANDS``),
 spelled in full.  Every flag is defined once in ``_OPTIONS``, and
-argparse rejects any other flag, a count below its minimum and a
-tolerance that is not positive and finite.  ``--gen kind:key=value,...`` builds a mesh from
-``_GENERATORS``; an unknown kind or key, an empty, repeated or missing
-key, a non-finite number and a fractional size are BAD_GENERATOR
-errors.  Runs emit a JSON report (plus CSV tables and field files) into
---out; reports are byte-reproducible for a fixed seed except for the
-single ``timestamp`` key.  Exit codes: 0 success, 1 domain error
-(structured error JSON on stdout), 2 usage error.
+argparse rejects any other flag, ``--mesh`` next to ``--gen``, a count
+below its minimum and a tolerance that is not positive and finite.
+``--gen kind:key=value,...`` builds a mesh from ``_GENERATORS``; an
+unknown kind or key, an empty, repeated or missing key, a non-finite
+number and a fractional size are BAD_GENERATOR errors.  Runs emit a
+JSON report (plus CSV tables and field files) into --out; reports are
+byte-reproducible for a fixed seed except for the single ``timestamp``
+key.  Exit codes: 0 success, 1 domain error (structured error JSON on
+stdout), 2 usage error.
 """
 
 from __future__ import annotations
@@ -499,9 +500,10 @@ _OPTIONS = {
     "--levels": dict(type=_SIZE, default=4, help="mesh levels n = 8, 16, 32, ..."),
 }
 
-_MESH = ("--mesh", "--gen", "--out")
+_MESH = (("--mesh", "--gen"), "--out")
 _SOLVE = (*_MESH, "--tol", "--eig-tol", "--rho", "--omega", "--eta-nu")
-# subcommand -> (handler, help, the flags the handler reads)
+# subcommand -> (handler, help, the flags the handler reads); a tuple of
+# flags is a mutually exclusive group
 _COMMANDS = {
     "mesh": (_cmd_mesh, "generate, refine or inspect meshes", ("action", *_MESH)),
     "eig": (_cmd_eig, "eigenvalue tables",
@@ -531,7 +533,10 @@ def build_parser():
     for name, (func, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
-            p.add_argument(flag, **_OPTIONS[flag])
+            exclusive = isinstance(flag, tuple)
+            group = p.add_mutually_exclusive_group() if exclusive else p
+            for option in flag if exclusive else (flag,):
+                group.add_argument(option, **_OPTIONS[option])
         p.set_defaults(func=func)
     return parser
 

@@ -36,73 +36,88 @@ def _check_same_mesh(a, b):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ScalarField:
-    """P1 scalar function given by one nodal value per vertex."""
+class _Field:
+    """A mesh and one read-only array of finite values on it.
+
+    Each subclass adds the array as its second field and names it in
+    ``_array``; ``_shape(mesh)`` is the array's shape, ``_nodes(mesh)``
+    the points ``from_function`` samples, ``_errors`` the shape and
+    finiteness messages and ``_key`` the size label of the repr.  Fields
+    of one type and one mesh add, subtract and scale.
+    """
 
     mesh: Mesh
-    coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=float))
-        if c.shape != (len(self.mesh.vertices),):
-            raise MeshError("coeffs length must equal the vertex count")
-        if not np.all(np.isfinite(c)):
-            raise MeshError("scalar field values must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        a = np.ascontiguousarray(np.asarray(self._data, dtype=float))
+        if a.shape != self._shape(self.mesh):
+            raise MeshError(self._errors[0])
+        if not np.all(np.isfinite(a)):
+            raise MeshError(self._errors[1])
+        a.setflags(write=False)
+        object.__setattr__(self, self._array, a)
+
+    @property
+    def _data(self):
+        return getattr(self, self._array)
 
     def __repr__(self):
-        return f"ScalarField(n={len(self.coeffs)})"
+        return f"{type(self).__name__}({self._key}={len(self._data)})"
 
     @classmethod
     def zeros(cls, mesh):
-        return cls(mesh, np.zeros(len(mesh.vertices)))
+        return cls(mesh, np.zeros(cls._shape(mesh)))
 
     @classmethod
     def from_function(cls, mesh, f):
         """Nodal interpolant; ``f(x, y)`` must accept coordinate arrays."""
-        return cls(mesh, np.asarray(f(mesh.vertices[:, 0], mesh.vertices[:, 1]),
-                                    dtype=float))
+        pts = cls._nodes(mesh)
+        return cls(mesh, np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         _check_same_mesh(self, other)
-        return ScalarField(self.mesh, self.coeffs + other.coeffs)
+        return type(self)(self.mesh, self._data + other._data)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         _check_same_mesh(self, other)
-        return ScalarField(self.mesh, self.coeffs - other.coeffs)
+        return type(self)(self.mesh, self._data - other._data)
 
     def __mul__(self, a):
-        return ScalarField(self.mesh, self.coeffs * float(a))
+        return type(self)(self.mesh, self._data * float(a))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ScalarField(self.mesh, -self.coeffs)
+        return type(self)(self.mesh, -self._data)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class VectorField:
+class ScalarField(_Field):
+    """P1 scalar function given by one nodal value per vertex."""
+
+    coeffs: np.ndarray
+    _array, _key = "coeffs", "n"
+    _errors = ("coeffs length must equal the vertex count",
+               "scalar field values must be finite")
+
+    _nodes = staticmethod(lambda mesh: mesh.vertices)
+    _shape = staticmethod(lambda mesh: (len(mesh.vertices),))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class VectorField(_Field):
     """P0 planar vector field: one 2-vector per triangle."""
 
-    mesh: Mesh
     values: np.ndarray
+    _array, _key = "values", "nt"
+    _errors = ("values must have shape (num_triangles, 2)",
+               "vector field values must be finite")
 
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if v.shape != (len(self.mesh.triangles), 2):
-            raise MeshError("values must have shape (num_triangles, 2)")
-        if not np.all(np.isfinite(v)):
-            raise MeshError("vector field values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __repr__(self):
-        return f"VectorField(nt={len(self.values)})"
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros((len(mesh.triangles), 2)))
+    _shape = staticmethod(lambda mesh: (len(mesh.triangles), 2))
 
     @classmethod
     def from_function(cls, mesh, f):
@@ -112,75 +127,27 @@ class VectorField:
         return cls(mesh, np.column_stack([np.broadcast_to(vx, cx.shape),
                                           np.broadcast_to(vy, cy.shape)]))
 
-    def __add__(self, other):
-        _check_same_mesh(self, other)
-        return VectorField(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_mesh(self, other)
-        return VectorField(self.mesh, self.values - other.values)
-
-    def __mul__(self, a):
-        return VectorField(self.mesh, self.values * float(a))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return VectorField(self.mesh, -self.values)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
-class BoundaryFunction:
+class BoundaryFunction(_Field):
     """Trace-space function: one value per boundary vertex.
 
     Values are stored in the order of ``mesh.boundary_vertices``.
     """
 
-    mesh: Mesh
     values: np.ndarray
+    _array, _key = "values", "k"
+    _errors = ("values length must equal the boundary vertex count",
+               "boundary values must be finite")
 
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if v.shape != (len(self.mesh.boundary_vertices),):
-            raise MeshError("values length must equal the boundary vertex count")
-        if not np.all(np.isfinite(v)):
-            raise MeshError("boundary values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __repr__(self):
-        return f"BoundaryFunction(k={len(self.values)})"
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros(len(mesh.boundary_vertices)))
-
-    @classmethod
-    def from_function(cls, mesh, f):
-        pts = mesh.vertices[mesh.boundary_vertices]
-        return cls(mesh, np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
+    _nodes = staticmethod(lambda mesh: mesh.vertices[mesh.boundary_vertices])
+    _shape = staticmethod(lambda mesh: (len(mesh.boundary_vertices),))
 
     def extended(self):
         """Nodal vector over all vertices, zero at interior vertices."""
         full = np.zeros(len(self.mesh.vertices))
         full[self.mesh.boundary_vertices] = self.values
         return full
-
-    def __add__(self, other):
-        _check_same_mesh(self, other)
-        return BoundaryFunction(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_mesh(self, other)
-        return BoundaryFunction(self.mesh, self.values - other.values)
-
-    def __mul__(self, a):
-        return BoundaryFunction(self.mesh, self.values * float(a))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BoundaryFunction(self.mesh, -self.values)
 
 
 # -- assembly ----------------------------------------------------------

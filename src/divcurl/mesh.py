@@ -26,6 +26,7 @@ TAG_NONE = 0
 TAG_NU = 1
 TAG_TAU = 2
 _VALID_TAGS = (TAG_NONE, TAG_NU, TAG_TAU)
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _shoelace(points):
@@ -108,6 +109,15 @@ class Mesh:
                                 code="MESH_INDEX", **{key: int(bad[0])})
         if len(triangles) == 0:
             raise MeshError("mesh has no triangles")
+        # Areas, hat gradients and every matrix need normal floats: reject a
+        # scale whose squared extent (below) or triangle area (in _validate)
+        # overflows, underflows or is subnormal.  Column by column, since
+        # np.ptp(axis=0) on an (nv, 2) array is about ten times slower.
+        with np.errstate(over="ignore", under="ignore"):
+            extent2 = float(sum(np.ptp(col) ** 2 for col in vertices.T))
+        if not _TINY <= extent2 < np.inf:
+            raise MeshError(f"mesh scale out of range: the squared bounding-box extent "
+                            f"{extent2:g} is not a normal float")
         for arr in (vertices, triangles, bedges):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
@@ -134,11 +144,15 @@ class Mesh:
                             code="MESH_TOPOLOGY", vertex=int(unused[0]))
 
         signed = self.areas
-        if np.any(signed <= 0.0):
+        if np.any(signed < _TINY):
             bad = int(np.argmin(signed))
-            raise MeshError(
-                f"triangle {bad} has non-positive signed area {signed[bad]:g}",
-                code="MESH_ORIENTATION", triangle=bad)
+            if signed[bad] <= 0.0:
+                raise MeshError(
+                    f"triangle {bad} has non-positive signed area {signed[bad]:g}",
+                    code="MESH_ORIENTATION", triangle=bad)
+            raise MeshError(f"mesh scale out of range: triangle {bad} has area "
+                            f"{signed[bad]:g}, below the smallest normal float",
+                            triangle=bad)
 
         # The edge table: one key lo*nv + hi per triangle side.
         sides = np.stack([t, np.roll(t, -1, axis=1)], axis=2)
@@ -337,13 +351,6 @@ class Mesh:
         mask = np.ones(len(self.vertices), dtype=bool)
         mask[self.boundary_vertices] = False
         return np.flatnonzero(mask)
-
-    @cached_property
-    def boundary_vertex_position(self):
-        """Map vertex index -> position in ``boundary_vertices`` (-1 if interior)."""
-        pos = np.full(len(self.vertices), -1, dtype=np.int64)
-        pos[self.boundary_vertices] = np.arange(len(self.boundary_vertices))
-        return pos
 
     @cached_property
     def boundary_edge_lengths(self):

@@ -291,9 +291,10 @@ def test_nonfinite_const_is_bad_field(value, capsys):
 
 
 @pytest.mark.parametrize("spec, code", [
-    ("square:n=8,w=1e200,h=1e-200", "NONCONVERGENCE"),
-    ("square:n=2,h=1e308", "NONCONVERGENCE"),
+    ("square:n=8,w=1e200,h=1e-200", "MESH_INVALID"),
+    ("square:n=2,h=1e308", "MESH_INVALID"),
     ("square:n=1,h=1e-200", "DEGENERATE_B"),
+    ("disk:rings=2,sectors=8,r=1e-200", "MESH_INVALID"),
 ])
 def test_extreme_generator_scale_is_domain_error(spec, code, capsys):
     # degenerate scales: the float32 preconditioner or the mass matrix
@@ -431,6 +432,13 @@ _UNREAD_FLAGS = {
 def test_flag_the_handler_does_not_read_is_usage_error(command, flag, capsys):
     assert exit_code(_BASE_ARGV[command] + [flag, "1"]) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [c for c in _BASE_ARGV if c != "convergence"])
+def test_mesh_next_to_gen_is_usage_error(command, tmp_path, capsys):
+    # the file is never opened: the parser rejects the pair first
+    assert exit_code(_BASE_ARGV[command] + ["--mesh", str(tmp_path / "absent.txt")]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 # -- fuzzing arc specs, mesh files and field files ------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,56 @@ def test_field_validation():
         dc.ScalarField(m, bad)
     with pytest.raises(MeshError):
         dc.VectorField(m, np.zeros((2, 2)))
+
+
+# (class, array attribute, shape on a mesh, shape and finiteness messages, repr)
+_FIELD_CONTRACT = [
+    (dc.ScalarField, "coeffs", lambda m: (len(m.vertices),),
+     "coeffs length must equal the vertex count", "scalar field values must be finite",
+     "ScalarField(n={})"),
+    (dc.VectorField, "values", lambda m: (len(m.triangles), 2),
+     "values must have shape (num_triangles, 2)", "vector field values must be finite",
+     "VectorField(nt={})"),
+    (dc.BoundaryFunction, "values", lambda m: (len(m.boundary_vertices),),
+     "values length must equal the boundary vertex count", "boundary values must be finite",
+     "BoundaryFunction(k={})"),
+]
+
+
+@pytest.mark.parametrize("cls, attr, shape, shape_msg, finite_msg, rep", _FIELD_CONTRACT,
+                         ids=[row[0].__name__ for row in _FIELD_CONTRACT])
+def test_field_contract(cls, attr, shape, shape_msg, finite_msg, rep):
+    m = dc.generate_rectangle(2, 2, 1.0, 1.0)
+    other = dc.generate_rectangle(2, 2, 1.0, 1.0)
+    n = shape(m)
+    with pytest.raises(MeshError, match=re.escape(shape_msg)):
+        cls(m, np.zeros(n[0] + 1))
+    for bad in (np.nan, np.inf):
+        data = np.zeros(n)
+        data.flat[1] = bad
+        with pytest.raises(MeshError, match=finite_msg):
+            cls(m, data)
+    source = np.arange(np.prod(n), dtype=float).reshape(n) - 2.0
+    x = cls(m, source)
+    arr = getattr(x, attr)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(MeshError) as err:
+            op(x, cls(other, source))
+        assert err.value.code == "MESH_MISMATCH"
+        with pytest.raises(TypeError):  # fields of two types never combine
+            op(x, (dc.ScalarField if cls is dc.VectorField else dc.VectorField).zeros(m))
+    zero = cls.zeros(m)
+    assert type(zero) is cls and zero.mesh is m
+    assert np.array_equal(getattr(zero, attr), np.zeros(n))
+    for got, want in ((-x, -source), (2 * x, 2.0 * source), (x * 2, source * 2.0),
+                      (x + x, source + source), (x - x, source - source)):
+        assert type(got) is cls and got.mesh is m
+        assert np.array_equal(getattr(got, attr), want)
+        assert np.array_equal(np.signbit(getattr(got, attr)), np.signbit(want))
+    assert repr(x) == rep.format(n[0])
 
 
 def test_lift_piecewise_constant(square):

@@ -245,6 +245,20 @@ def test_unreferenced_vertex_rejected():
     assert err.value.context["vertex"] == len(m.vertices)
 
 
+@pytest.mark.parametrize("x, y, code, context", [
+    (1e308, 1e308, "MESH_INVALID", {}),               # squared extent overflows
+    (1e-160, 1e-160, "MESH_INVALID", {}),             # squared extent is subnormal
+    (1.0, 1e-310, "MESH_INVALID", {"triangle": 0}),   # area is subnormal
+    (1.0, 0.0, "MESH_ORIENTATION", {"triangle": 0}),  # area is zero
+])
+def test_extreme_scale_rejected_when_built(x, y, code, context):
+    vertices = np.array([[0.0, 0.0], [x, 0.0], [0.0, y]])
+    with pytest.raises(MeshError) as err:
+        dc.Mesh(vertices, [[0, 1, 2]], [[0, 1, 0, 0], [1, 2, 0, 0], [2, 0, 0, 0]])
+    assert (err.value.code, err.value.context) == (code, context)
+    assert ("mesh scale out of range" in str(err.value)) == (code == "MESH_INVALID")
+
+
 def _mesh_text(vertices, triangles, boundary):
     rows = [f"$vertices {len(vertices)}", *(f"{x} {y}" for x, y in vertices),
             f"$triangles {len(triangles)}", *(" ".join(map(str, t)) for t in triangles),
