@@ -234,7 +234,7 @@ def solve_neumann_steklov(eta, terms, basis, compat_tol=1e-9):
 # -- spectral constants ---------------------------------------------------
 
 
-def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
+def estimate_C0(m, tol=1e-8, max_iter=2000):
     """Discrete operator norm of the source-to-boundary-flux map.
 
     Measures the largest ratio ||flux of the zero-trace Poisson
@@ -243,15 +243,15 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
     harmonic extension H (w on the boundary, -K_ii^-1 K_ib w inside), so
     C0 = ||H|| from L2(ds) to L2: the root of the largest eigenvalue of
     the boundary-sized pencil (H^T M H, B_bb), found by ARPACK's Lanczos
-    iteration from a seeded start vector.  ``max_iter`` bounds its
-    restarts.  The value is kept on the mesh per seed and reused for any
-    tolerance no tighter than the one it was computed at.
+    iteration from a fixed start vector.  ``max_iter`` bounds its
+    restarts.  The value is kept on the mesh and reused for any tolerance
+    no tighter than the one it was computed at.
     """
-    key = ("C0", seed)
-    cached = m._cache.get(key)
-    if cached is not None and cached[1] <= tol:
-        return cached[0]
+    return m._cached("C0", lambda: _flux_norm(m, tol, max_iter), tol)
 
+
+def _flux_norm(m, tol, max_iter):
+    """``estimate_C0`` without the cache."""
     K = assemble_stiffness(m).tocsr()
     M = assemble_mass(m)
     B_bb = _trace_mass(m)
@@ -270,27 +270,23 @@ def estimate_C0(m, tol=1e-8, seed=0, max_iter=2000):
         return y[bv] - K_ib.T @ K_ii.solve(y[iv])
 
     nb = len(bv)
-    rng = np.random.default_rng(seed)
     try:
         value = spla.eigsh(
             spla.LinearOperator((nb, nb), dtype=float, matvec=apply_HtMH),
-            k=1, M=B_bb, which="LA", v0=rng.standard_normal(nb),
+            k=1, M=B_bb, which="LA", v0=np.random.default_rng(0).standard_normal(nb),
             Minv=spla.LinearOperator((nb, nb), dtype=float, matvec=B_lu.solve),
             tol=1e-3 * tol, maxiter=max_iter, return_eigenvectors=False)[0]
     except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
         raise NonConvergenceError(
             f"Lanczos iteration for the flux operator norm did not converge in "
             f"{max_iter} restarts: {exc}", iterations=max_iter) from None
-    c0 = float(np.sqrt(max(value, 0.0)))
-    m._cache[key] = (c0, tol)
-    return c0
+    return float(np.sqrt(max(value, 0.0)))
 
 
 # -- the three boundary value problems ----------------------------------
 
 
-def solve_normal(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
-                 steklov_terms=None):
+def solve_normal(data, tol=1e-10, eig_tol=1e-8, steklov_terms=None):
     """Least-energy solution with the normal component prescribed on all of
     the boundary.
 
@@ -310,7 +306,7 @@ def solve_normal(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
     rho, omega = data.rho_or_zero(), data.omega_or_zero()
     eta_nu = data.eta_nu_or_zero()
     residual = check_compat_normal(rho, eta_nu)
-    _require_compat(COMPAT_NORMAL, residual, eta_nu, compat_tol, source=rho)
+    _require_compat(COMPAT_NORMAL, residual, eta_nu, 1e-9, source=rho)
 
     phi0 = solve_dirichlet_poisson(rho, tol=tol)
     psi0 = solve_dirichlet_poisson(omega, tol=tol)
@@ -340,8 +336,7 @@ def solve_normal(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
                            flux=g, compat_residual=residual)
 
 
-def solve_tangential(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
-                     steklov_terms=None):
+def solve_tangential(data, tol=1e-10, eig_tol=1e-8, steklov_terms=None):
     """Least-energy solution with the tangential component prescribed on
     all of the boundary.
 
@@ -358,11 +353,10 @@ def solve_tangential(data, tol=1e-10, compat_tol=1e-9, eig_tol=1e-8,
     rho, omega = data.rho_or_zero(), data.omega_or_zero()
     eta_tau = data.eta_tau_or_zero()
     residual = check_compat_tangential(omega, eta_tau)
-    _require_compat(COMPAT_TANGENTIAL, residual, eta_tau, compat_tol, source=omega)
+    _require_compat(COMPAT_TANGENTIAL, residual, eta_tau, 1e-9, source=omega)
 
     rot = solve_normal(DivCurlData(m, rho=-omega, omega=data.rho, eta_nu=-eta_tau),
-                       tol=tol, compat_tol=compat_tol, eig_tol=eig_tol,
-                       steklov_terms=steklov_terms)
+                       tol=tol, eig_tol=eig_tol, steklov_terms=steklov_terms)
     eta_nu_norm = (boundary_l2_norm(data.eta_nu)
                    if data.eta_nu is not None else 0.0)
     report = replace(rot.report, kind="tangential", notes={

@@ -103,11 +103,11 @@ class HarmonicDecomposition:
     def reconstruct(self):
         return self.curl_part + self.grad_part + self.h
 
-    def validate(self, v, harmonic_tol=1e-9, ortho_tol=1e-10):
+    def validate(self, v):
         """Check reconstruction, harmonicity of h and pairwise orthogonality."""
         if l2_norm(self.reconstruct() - v) > 1e-12 * max(l2_norm(v), 1e-300):
             raise SolverError("harmonic decomposition does not reconstruct the input")
-        rep = is_harmonic(self.h, harmonic_tol)
+        rep = is_harmonic(self.h, 1e-9)
         if not rep.harmonic:
             raise SolverError(
                 f"remainder fails the harmonicity test (worst ratio {rep.worst_ratio:g})")
@@ -116,7 +116,7 @@ class HarmonicDecomposition:
         for i in range(3):
             for j in range(i + 1, 3):
                 denom = max(norms[i] * norms[j], 1e-300)
-                if abs(l2_inner(parts[i], parts[j])) > ortho_tol * denom:
+                if abs(l2_inner(parts[i], parts[j])) > 1e-10 * denom:
                     raise SolverError("decomposition components are not orthogonal")
 
 
@@ -203,14 +203,14 @@ def _edge_line_integrals(v, kind):
     return np.einsum("ed,ed->e", avg, d)
 
 
-def poincare_potential(v, kind="grad", tol=1e-8):
+def poincare_potential(v, kind="grad"):
     """Reconstruct a potential of v by edge path integrals on a spanning tree.
 
     ``kind="grad"`` integrates v1 dx1 + v2 dx2 (result's gradient is v for
     irrotational fields); ``kind="curl"`` integrates v1 dx2 - v2 dx1
     (result's perp-gradient is v for solenoidal fields).  The mesh must
     be simply connected; any non-tree edge whose closure mismatch
-    exceeds tol * ||v|| * h_max trips CirculationDetectedError with the
+    exceeds 1e-8 * ||v|| * h_max trips CirculationDetectedError with the
     worst cycle edge.  The result is normalized to mean zero.
     """
     m = v.mesh
@@ -242,7 +242,7 @@ def poincare_potential(v, kind="grad", tol=1e-8):
     gap = np.abs(values[edges[:, 0]] + w - values[edges[:, 1]])
     gap[in_tree] = 0.0
     worst = int(np.argmax(gap))
-    threshold = tol * max(l2_norm(v), 1e-300) * m.h_max
+    threshold = 1e-8 * max(l2_norm(v), 1e-300) * m.h_max
     if gap[worst] > threshold:
         a, b = edges[worst]
         raise CirculationDetectedError(

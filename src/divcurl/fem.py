@@ -49,7 +49,9 @@ class _Field:
     mesh: Mesh
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self._data, dtype=float))
+        # A private copy: neither the caller's array nor a view of it can
+        # change the field.
+        a = np.array(self._data, dtype=float, order="C")
         if a.shape != self._shape(self.mesh):
             raise MeshError(self._errors[0])
         if not np.all(np.isfinite(a)):
@@ -178,8 +180,7 @@ def assemble_stiffness(m):
     invariant under rigid motion and scaling, and it leaves the real
     couplings of the generated meshes (>= 1e-4 relative) alone.
     """
-    cache = m._cache
-    if "K" not in cache:
+    def build():
         g = m.hat_gradients
         local = np.einsum("tid,tjd->tij", g, g) * m.areas[:, None, None]
         K = _scatter_symmetric(local, m.triangles, len(m.vertices)).tocoo()
@@ -188,18 +189,17 @@ def assemble_stiffness(m):
         K.data[tiny] = 0.0
         K = K.tocsr()
         K.eliminate_zeros()
-        cache["K"] = K
-    return cache["K"]
+        return K
+    return m._cached("K", build)
 
 
 def assemble_mass(m):
     """Volume mass matrix with the exact P1 pattern area/12 (area/6 diagonal)."""
-    cache = m._cache
-    if "M" not in cache:
+    def build():
         pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        local = m.areas[:, None, None] * pattern
-        cache["M"] = _scatter_symmetric(local, m.triangles, len(m.vertices))
-    return cache["M"]
+        return _scatter_symmetric(m.areas[:, None, None] * pattern, m.triangles,
+                                  len(m.vertices))
+    return m._cached("M", build)
 
 
 def assemble_boundary_mass(m, subset=None):
@@ -211,36 +211,27 @@ def assemble_boundary_mass(m, subset=None):
     (exact P1 edge pattern length/6, length/3 diagonal).
     """
     if subset is None:
-        cache = m._cache
-        if "B" in cache:
-            return cache["B"]
-        rows = np.arange(len(m.boundary_edges))
-    else:
-        rows = np.asarray(sorted(int(r) for r in subset), dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= len(m.boundary_edges)):
-            raise MeshError(
-                "subset entries must be rows of mesh.boundary_edges "
-                f"(got index {int(rows.min()) if rows.min() < 0 else int(rows.max())})",
-                code="MESH_INDEX")
+        return m._cached("B", lambda: assemble_boundary_mass(
+            m, range(len(m.boundary_edges))))
+    rows = np.asarray(sorted(int(r) for r in subset), dtype=np.int64)
+    if len(rows) and (rows.min() < 0 or rows.max() >= len(m.boundary_edges)):
+        raise MeshError(
+            "subset entries must be rows of mesh.boundary_edges "
+            f"(got index {int(rows.min()) if rows.min() < 0 else int(rows.max())})",
+            code="MESH_INDEX")
     n = len(m.vertices)
     if len(rows) == 0:
         return sp.csr_matrix((n, n))
     lengths = m.boundary_edge_lengths[rows]
     pattern = (np.ones((2, 2)) + np.eye(2)) / 6.0
     local = lengths[:, None, None] * pattern
-    mat = _scatter_symmetric(local, m.boundary_edges[rows, :2], n)
-    if subset is None:
-        m._cache["B"] = mat
-    return mat
+    return _scatter_symmetric(local, m.boundary_edges[rows, :2], n)
 
 
 def _trace_mass(m):
     """Boundary mass restricted to ``m.boundary_vertices`` (rows and columns)."""
-    cache = m._cache
-    if "B_bb" not in cache:
-        bv = m.boundary_vertices
-        cache["B_bb"] = assemble_boundary_mass(m)[np.ix_(bv, bv)].tocsr()
-    return cache["B_bb"]
+    bv = m.boundary_vertices
+    return m._cached("B_bb", lambda: assemble_boundary_mass(m)[np.ix_(bv, bv)].tocsr())
 
 
 # -- differential operators and inner products ------------------------
@@ -291,10 +282,9 @@ def boundary_l2_norm(eta, subset=None):
     return float(np.sqrt(max(e @ (b @ e), 0.0)))
 
 
-def boundary_integral(eta, subset=None):
-    """Exact integral of a P1 boundary function, optionally over a subset."""
-    b = assemble_boundary_mass(eta.mesh, subset)
-    return float(np.sum(b @ eta.extended()))
+def boundary_integral(eta):
+    """Exact integral of a P1 boundary function over the whole boundary."""
+    return float(np.sum(assemble_boundary_mass(eta.mesh) @ eta.extended()))
 
 
 def _scatter_to_vertices(m, contrib):

@@ -5,7 +5,7 @@ whose preconditioner is a single-precision sparse LU factorization of
 the constrained operator, i.e. mixed-precision iterative refinement: the
 CG loop certifies the double-precision residual, the LU makes it take a
 handful of steps.  Dirichlet constraints are imposed by row/column
-elimination; mean-type constraints are imposed by deflating the
+elimination; the mean constraint is imposed by deflating the
 constants out of the right-hand side and of every preconditioned
 residual, with the operator factored with one node pinned.  Factors are
 cached for each (matrix object, constraint) and dropped when the matrix
@@ -38,19 +38,18 @@ from .errors import (DegenerateBError, IncompatibleRHSError, NonConvergenceError
 KIND_NONE = "NONE"
 KIND_DIRICHLET_ZERO = "DIRICHLET_ZERO"
 KIND_MEAN_ZERO = "MEAN_ZERO"
-KIND_BOUNDARY_MEAN_ZERO = "BOUNDARY_MEAN_ZERO"
-_MEAN_KINDS = (KIND_MEAN_ZERO, KIND_BOUNDARY_MEAN_ZERO)
 
 
 @dataclass(frozen=True)
 class Constraint:
     """Subspace constraint for a linear or eigenvalue solve.
 
-    DIRICHLET_ZERO pins the listed nodes to zero (rows eliminated).
-    MEAN_ZERO / BOUNDARY_MEAN_ZERO select the representative with
-    ``weights @ x == 0`` out of the family x + constants; ``weights`` is
-    the relevant mass action on constants (M @ 1 or B @ 1).  These mean
-    constraints presume the operator's null space is the constants.
+    Three kinds: NONE leaves x free; DIRICHLET_ZERO pins the listed nodes
+    to zero (rows eliminated); MEAN_ZERO selects the representative with
+    ``weights @ x == 0`` out of the family x + constants, ``weights``
+    being a mass action on constants (M @ 1 for the volume mean, B @ 1
+    for the boundary mean).  MEAN_ZERO presumes the operator's null space
+    is the constants.
     """
 
     kind: str
@@ -72,11 +71,6 @@ class Constraint:
     def mean_zero(weights):
         return Constraint(KIND_MEAN_ZERO, weights=np.asarray(weights, dtype=float))
 
-    @staticmethod
-    def boundary_mean_zero(weights):
-        return Constraint(KIND_BOUNDARY_MEAN_ZERO,
-                          weights=np.asarray(weights, dtype=float))
-
 
 def _free_mask(n, constraint):
     mask = np.ones(n, dtype=bool)
@@ -94,7 +88,7 @@ _factor_cache = {}
 class _Factor:
     """Constrained operator A_ff and a single-precision LU of it.
 
-    For mean-type constraints the LU is of A_ff with its last node pinned
+    Under MEAN_ZERO the LU is of A_ff with its last node pinned
     to zero, which is nonsingular when the null space is the constants.
     """
 
@@ -117,17 +111,16 @@ def _factor(A, constraint, mask):
     """Cached factor of A on the subspace selected by ``constraint``."""
     key = (constraint.kind, constraint.nodes.tobytes()
            if constraint.kind == KIND_DIRICHLET_ZERO else None)
-    per_matrix = _factor_cache.get(id(A))
-    if per_matrix is None:
-        per_matrix = _factor_cache[id(A)] = {}
+    if id(A) not in _factor_cache:
         weakref.finalize(A, _factor_cache.pop, id(A), None)
+    per_matrix = _factor_cache.setdefault(id(A), {})
     factor = per_matrix.get(key)
     if factor is None:
         if constraint.kind == KIND_DIRICHLET_ZERO:
             A_ff = A[mask][:, mask].tocsr()
         else:
             A_ff = A.tocsr(copy=True)
-        pinned = constraint.kind in _MEAN_KINDS
+        pinned = constraint.kind == KIND_MEAN_ZERO
         P = A_ff[:-1, :-1] if pinned else A_ff
         lu = _lu(P.astype(np.float32),
                  f"the {constraint.kind} constrained operator")
@@ -158,7 +151,7 @@ def solve_spd(A, b, constraint=None, tol=1e-10, max_iter=None, rhs_scale=None):
 
     mask = _free_mask(n, constraint)
     b_f = b[mask]
-    deflate = constraint.kind in _MEAN_KINDS
+    deflate = constraint.kind == KIND_MEAN_ZERO
     nf = len(b_f)
     ones = np.ones(nf)
     if deflate:
@@ -238,10 +231,12 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
     (A - sigma B)^-1 B purifies its vectors of components that B does not
     see, and Rayleigh-Ritz on the original pencil, B-orthonormalized
     twice, gives the result; for k within one of the B-positive
-    dimension Rayleigh-Ritz runs over that whole subspace instead.  Lanczos from one start vector
-    can miss a copy of a repeated eigenvalue, so for k >= 2 a Sturm count
-    checks that none below the k-th is missing, and Lanczos on the
-    B-orthogonal complement of the pairs found looks for those that are.
+    dimension Rayleigh-Ritz runs over that whole subspace instead.
+    Lanczos from one start vector can miss a copy of a repeated
+    eigenvalue, so for k >= 2 a Sturm count checks that none below the
+    k-th is missing, and Lanczos on the B-orthogonal complement of the
+    pairs found looks for those that are; when it finds none below, the
+    count was off and the pairs in hand stand.
     Every pair must pass a relative residual test with a roundoff floor.
     Raises DegenerateBError when the B-positive subspace has dimension
     < k, SolverError when the shifted operator cannot be factored (under
@@ -265,7 +260,7 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
     # Mass-type B: its positive-diagonal count bounds the nondegenerate
     # subspace dimension.
     b_positive = np.flatnonzero(B_ff.diagonal() > 0.0)
-    deflate = constraint.kind in _MEAN_KINDS
+    deflate = constraint.kind == KIND_MEAN_ZERO
     avail = len(b_positive) - (1 if deflate else 0)
     if avail < k:
         raise DegenerateBError(
@@ -297,7 +292,7 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
             Y = project(lu.solve(B_ff[:, b_positive].toarray()))
         else:
             try:
-                _, V = spla.eigsh(
+                found, V = spla.eigsh(
                     A_ff, need, M=B_ff, sigma=sigma, which="LM",
                     OPinv=spla.LinearOperator((nf, nf), dtype=float,
                                               matvec=lambda x: project(lu.solve(x))),
@@ -308,6 +303,10 @@ def smallest_eigs(A, B, k, constraint=None, tol=1e-8, seed=0, max_iter=300):
                 raise NonConvergenceError(
                     f"shift-invert Lanczos did not converge in {max_iter} "
                     f"restarts: {exc}", iterations=max_iter) from None
+            if X.shape[1] and not np.any(found < mu):
+                # Nothing below mu on the complement: the unpivoted LU of the
+                # Sturm count miscounted next to a double eigenvalue.
+                break
             # ARPACK's vectors carry roundoff in the null space of B; one
             # more application of the shift-inverted operator removes it.
             Y = project(lu.solve(B_ff @ V))

@@ -89,9 +89,11 @@ class Mesh:
     boundary_edges: np.ndarray
 
     def __post_init__(self):
-        vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        triangles = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
-        bedges = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
+        # Private copies: the caller's arrays, or a buffer they view, must
+        # not be able to change a validated mesh.
+        vertices = np.array(self.vertices, dtype=float, order="C")
+        triangles = np.array(self.triangles, dtype=np.int64, order="C")
+        bedges = np.array(self.boundary_edges, dtype=np.int64, order="C")
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -153,6 +155,16 @@ class Mesh:
             raise MeshError(f"mesh scale out of range: triangle {bad} has area "
                             f"{signed[bad]:g}, below the smallest normal float",
                             triangle=bad)
+        # A thin triangle can overflow a squared hat gradient or its product
+        # with the area (a stiffness entry); the product is finite only if
+        # the square is.
+        with np.errstate(over="ignore"):
+            g = self.hat_gradients
+            entries = np.einsum("tid,tid->ti", g, g) * signed[:, None]
+        if not np.isfinite(entries.max()):
+            bad = int(np.argmax(~np.isfinite(entries).all(axis=1)))
+            raise MeshError(f"mesh scale out of range: triangle {bad} is thin enough "
+                            f"that its stiffness entries overflow", triangle=bad)
 
         # The edge table: one key lo*nv + hi per triangle side.
         sides = np.stack([t, np.roll(t, -1, axis=1)], axis=2)
@@ -285,8 +297,20 @@ class Mesh:
     @cached_property
     def _cache(self):
         """Operators and constants derived from this mesh by fem, spectra and
-        bvp; stored on the instance, so they are freed with it."""
+        bvp, as key -> (value, tol); stored on the instance, so they are
+        freed with it.  Read and written only through ``_cached``."""
         return {}
+
+    def _cached(self, key, build, tol=0.0, enough=None):
+        """The entry under ``key``, or ``build()`` stored there on a miss.  An
+        entry built at a tolerance no looser than ``tol`` is a hit if also
+        ``enough(value)`` holds, when given.  Matrices use tol = 0."""
+        hit = self._cache.get(key)
+        if hit is not None and hit[1] <= tol and (enough is None or enough(hit[0])):
+            return hit[0]
+        value = build()
+        self._cache[key] = (value, tol)
+        return value
 
     @cached_property
     def areas(self):

@@ -42,13 +42,13 @@ class SteklovBasis:
     def __len__(self):
         return len(self.eigenvalues)
 
-    def validate(self, eig_tol=1e-8, ortho_tol=1e-8, stiff_tol=1e-6):
+    def validate(self, eig_tol=1e-8):
         """Check the basis invariants; raises SolverError on violation."""
         m = self.mesh
         ev = self.eigenvalues
-        if np.any(np.diff(ev) < -eig_tol * max(1.0, abs(ev[-1]))):
-            raise SolverError("Steklov eigenvalues are not nondecreasing")
         scale = max(1.0, abs(float(ev[-1])))
+        if np.any(np.diff(ev) < -eig_tol * scale):
+            raise SolverError("Steklov eigenvalues are not nondecreasing")
         if abs(float(ev[0])) > eig_tol * scale:
             raise SolverError(f"lowest Steklov eigenvalue {ev[0]:g} is not ~0")
         c = self.fields[0].coeffs
@@ -58,11 +58,11 @@ class SteklovBasis:
         K = assemble_stiffness(m)
         coeffs = np.column_stack([f.coeffs for f in self.fields])
         gram_b = coeffs.T @ (B @ coeffs)
-        if np.abs(gram_b - np.eye(len(ev))).max() > ortho_tol:
+        if np.abs(gram_b - np.eye(len(ev))).max() > 1e-8:
             raise SolverError("Steklov traces are not boundary-orthonormal")
         gram_k = coeffs.T @ (K @ coeffs)
         err = np.abs(gram_k - np.diag(ev)).max()
-        if err > stiff_tol * scale:
+        if err > 1e-6 * scale:
             raise SolverError(
                 f"stiffness pairing of Steklov fields is not diagonal (err={err:g})")
 
@@ -73,69 +73,59 @@ class SteklovBasis:
         return np.asarray([float(f.coeffs @ be) for f in self.fields])
 
 
-def _lowest(m, key, pencil, tol, seed):
-    """Smallest eigenvalue of K x = lambda B x, kept in the mesh cache under
-    ``key``; ``pencil()`` gives (B, constraint) on a miss."""
-    cache = m._cache
-    if key not in cache:
-        B, constraint = pencil()
-        pairs = smallest_eigs(assemble_stiffness(m), B, 1, constraint,
-                              tol=tol, seed=seed)
-        cache[key] = pairs[0][0]
-    return cache[key]
+def _lowest(m, B, constraint, tol):
+    """Smallest eigenvalue of K x = lambda B x on the constrained subspace."""
+    return smallest_eigs(assemble_stiffness(m), B, 1, constraint, tol=tol)[0][0]
 
 
-def dirichlet_lambda1(m, tol=1e-8, seed=0):
+def dirichlet_lambda1(m, tol=1e-8):
     """Smallest eigenvalue of K x = lambda M x with zero boundary values."""
-    return _lowest(m, ("lambda1", tol, seed), lambda: (
-        assemble_mass(m), Constraint.dirichlet_zero(m.boundary_vertices)), tol, seed)
+    return m._cached("lambda1", lambda: _lowest(
+        m, assemble_mass(m), Constraint.dirichlet_zero(m.boundary_vertices), tol), tol)
 
 
-def neumann_lambda_m(m, tol=1e-8, seed=0):
+def neumann_lambda_m(m, tol=1e-8):
     """First nonzero eigenvalue of K x = lambda M x (mean-free subspace)."""
-    def pencil():
+    def build():
         M = assemble_mass(m)
-        return M, Constraint.mean_zero(M @ np.ones(M.shape[0]))
-    return _lowest(m, ("lambda_m", tol, seed), pencil, tol, seed)
+        return _lowest(m, M, Constraint.mean_zero(M @ np.ones(M.shape[0])), tol)
+    return m._cached("lambda_m", build, tol)
 
 
-def steklov_basis(m, k, tol=1e-8, seed=0):
+def steklov_basis(m, k, tol=1e-8):
     """First k Steklov eigenpairs of K x = delta B x, including delta_0 = 0.
 
     delta_0 = 0 with the constant field 1/sqrt(perimeter) is exact; the
     other k - 1 pairs are solved by ``smallest_eigs``, shift-invert
-    Lanczos on (K, B) with shift -1 on the boundary-mean-zero subspace.
+    Lanczos on (K, B) with shift -1 on the subspace of zero boundary mean.
     B is the boundary mass and is singular on interior vertices, so the
     pairs live on the boundary-trace subspace and the interior values
-    are their discrete harmonic extensions.
+    are their discrete harmonic extensions.  The pairs are kept on the
+    mesh and any request for at most as many, at a tolerance no tighter,
+    takes a prefix of them.
     """
     k = int(k)
     nb = len(m.boundary_vertices)
     if k > nb:
         raise DegenerateBError(
             f"requested {k} Steklov pairs but the boundary has {nb} vertices")
-    cache = m._cache
-    key = ("steklov", tol, seed)
-    # The cache holds arrays only: a value referencing m would form a cycle
-    # that keeps the mesh alive until the cycle collector runs.
-    cached = cache.get(key)
-    if cached is None or len(cached[0]) < k:
+
+    def build():
         B = assemble_boundary_mass(m)
         ones = np.ones(B.shape[0])
         b_ones = B @ ones
         pairs = [(0.0, ones / np.sqrt(b_ones.sum()))]
         if k > 1:
             pairs += smallest_eigs(assemble_stiffness(m), B, k - 1,
-                                   Constraint.boundary_mean_zero(b_ones),
-                                   tol=tol, seed=seed)
-        basis = SteklovBasis(
-            mesh=m,
-            eigenvalues=np.asarray([ev for ev, _ in pairs]),
-            fields=tuple(ScalarField(m, x) for _, x in pairs))
-        basis.validate(eig_tol=max(tol, 1e-8))
-        cache[key] = (basis.eigenvalues, tuple(f.coeffs for f in basis.fields))
-        return basis
-    eigenvalues, coeffs = cached
+                                   Constraint.mean_zero(b_ones), tol=tol)
+        eigenvalues = np.asarray([ev for ev, _ in pairs])
+        fields = tuple(ScalarField(m, x) for _, x in pairs)
+        SteklovBasis(m, eigenvalues, fields).validate(eig_tol=max(tol, 1e-8))
+        # Arrays only: a value referencing m would form a cycle that keeps
+        # the mesh alive until the cycle collector runs.
+        return eigenvalues, tuple(f.coeffs for f in fields)
+    eigenvalues, coeffs = m._cached("steklov", build, tol,
+                                    enough=lambda pairs: len(pairs[0]) >= k)
     return SteklovBasis(mesh=m, eigenvalues=eigenvalues[:k].copy(),
                         fields=tuple(ScalarField(m, c) for c in coeffs[:k]))
 
@@ -150,7 +140,7 @@ def _gamma_vertices(m, gamma_rows):
     return rows, np.unique(m.boundary_edges[rows, :2])
 
 
-def mixed_lambda1(m, gamma, tol=1e-8, seed=0):
+def mixed_lambda1(m, gamma, tol=1e-8):
     """Least eigenvalue of K x = lambda (M + B_complement) x, zero trace on gamma.
 
     ``gamma`` is a set of rows of ``mesh.boundary_edges``.  The
@@ -162,16 +152,16 @@ def mixed_lambda1(m, gamma, tol=1e-8, seed=0):
     """
     rows, verts = _gamma_vertices(m, gamma)
 
-    def pencil():
+    def build():
         complement = sorted(set(range(len(m.boundary_edges))) - set(rows.tolist()))
         B = (assemble_mass(m) + assemble_boundary_mass(m, complement)).tocsr()
-        return B, Constraint.dirichlet_zero(verts)
-    return _lowest(m, ("mixed", tuple(rows.tolist()), tol, seed), pencil, tol, seed)
+        return _lowest(m, B, Constraint.dirichlet_zero(verts), tol)
+    return m._cached(("mixed", tuple(rows.tolist())), build, tol)
 
 
-def m2_gamma(m, gamma, tol=1e-8, seed=0):
+def m2_gamma(m, gamma, tol=1e-8):
     """Embedding constant: reciprocal of ``mixed_lambda1``."""
-    lam = mixed_lambda1(m, gamma, tol=tol, seed=seed)
+    lam = mixed_lambda1(m, gamma, tol=tol)
     if lam <= 0.0:
         raise SolverError(f"mixed eigenvalue {lam:g} is not positive")
     return 1.0 / lam

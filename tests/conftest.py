@@ -76,3 +76,26 @@ def dense_pencil(A, B, free=None):
     V = np.zeros((len(A), len(values)))
     V[p], V[z] = Vp, -X @ Vp
     return values, V
+
+
+def splu_call_log(monkeypatch):
+    """A list that gains one entry for each scipy ``splu`` call from now on."""
+    import scipy.sparse.linalg as spla
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    return calls
+
+
+def assert_reuse_rule(compute, calls):
+    """``compute(tol)`` factors once, reuses its entry at the same or a looser
+    tolerance, and recomputes, then reuses, at a tighter one."""
+    calls.clear()
+    a = compute(1e-8)
+    assert calls
+    calls.clear()
+    assert compute(1e-8) == a and compute(1e-6) == a and not calls
+    b = compute(1e-11)
+    assert calls and abs(b - a) <= 1e-6 * abs(a)
+    calls.clear()
+    assert compute(1e-8) == b and compute(1e-11) == b and not calls

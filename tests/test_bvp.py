@@ -405,6 +405,14 @@ def test_estimate_c0_positive_and_stable(square):
     assert abs(c0_fine - c0) <= 5e-3 * c0  # stable to ~3 significant digits
 
 
+def test_estimate_c0_reuses_an_entry_built_at_no_looser_tolerance(monkeypatch):
+    from conftest import assert_reuse_rule, splu_call_log
+
+    calls = splu_call_log(monkeypatch)
+    m = dc.generate_rectangle(8, 8, 1.0, 1.0)
+    assert_reuse_rule(lambda tol: bvp.estimate_C0(m, tol=tol), calls)
+
+
 def test_estimate_c0_scaling():
     a = bvp.estimate_C0(dc.generate_rectangle(12, 12, 1.0, 1.0), tol=1e-8)
     b = bvp.estimate_C0(dc.generate_rectangle(12, 12, 2.0, 2.0), tol=1e-8)
@@ -475,24 +483,6 @@ def test_estimate_c0_factors_interior_stiffness_and_trace_mass(monkeypatch):
     bvp.estimate_C0(m)
     ni, nb = len(m.interior_vertices), len(m.boundary_vertices)
     assert sorted(shapes) == sorted([(ni, ni), (nb, nb)])
-
-
-def test_estimate_c0_cache_is_keyed_on_seed(monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    calls = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
-    m = dc.generate_rectangle(6, 6, 1.0, 1.0)
-    c0 = bvp.estimate_C0(m, seed=0)
-    first = len(calls)
-    assert first > 0
-    assert bvp.estimate_C0(m, seed=0) == c0
-    assert len(calls) == first
-    c1 = bvp.estimate_C0(m, seed=1)
-    assert len(calls) > first
-    assert abs(c1 - c0) <= 1e-6 * c0
-
 
 
 @pytest.mark.parametrize("m", [dc.generate_rectangle(6, 6, 1.0, 1.0),

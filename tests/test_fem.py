@@ -364,11 +364,18 @@ def test_field_contract(cls, attr, shape, shape_msg, finite_msg, rep):
         with pytest.raises(MeshError, match=finite_msg):
             cls(m, data)
     source = np.arange(np.prod(n), dtype=float).reshape(n) - 2.0
+    view = source[:]
     x = cls(m, source)
     arr = getattr(x, attr)
     assert not arr.flags.writeable
     with pytest.raises(ValueError):
         arr[0] = 1.0
+    kept = arr.copy()
+    assert source.flags.writeable
+    for alias in (source, view):  # the field holds a copy of its own
+        alias.flat[0] += 1.0
+        assert np.array_equal(getattr(x, attr), kept)
+        alias.flat[0] -= 1.0
     for op in (lambda a, b: a + b, lambda a, b: a - b):
         with pytest.raises(MeshError) as err:
             op(x, cls(other, source))

@@ -242,12 +242,25 @@ def test_mean_constraints_hold_exactly(square, boundary):
     K = dc.assemble_stiffness(square)
     W = dc.assemble_boundary_mass(square) if boundary else dc.assemble_mass(square)
     w = W @ np.ones(W.shape[0])
-    c = Constraint.boundary_mean_zero(w) if boundary else Constraint.mean_zero(w)
+    c = Constraint.mean_zero(w)
     b = K @ np.random.default_rng(7).standard_normal(K.shape[0])
     x = solve_spd(K, b, c, tol=1e-12)
     assert abs(w @ x) <= 1e-12 * np.abs(w * x).sum()
     r = K @ x - b
     assert np.linalg.norm(r - r.mean()) <= 1e-12 * np.linalg.norm(b - b.mean())
+
+
+def test_spurious_sturm_count_keeps_the_pairs_found():
+    # delta_1 = delta_2 is double on the 6x6 square; at tol 1e-11 the
+    # unpivoted LU of K - mu B just below it counts two eigenvalues below
+    # mu, and Lanczos on the complement finds none there.
+    m = dc.generate_rectangle(6, 6, 1.0, 1.0)
+    K, B = dc.assemble_stiffness(m), dc.assemble_boundary_mass(m)
+    values, _ = dense_pencil(K, B)
+    tol = 1e-11
+    pairs = smallest_eigs(K, B, 2, Constraint.mean_zero(B @ np.ones(B.shape[0])), tol=tol)
+    theta = np.asarray([v for v, _ in pairs])
+    assert np.abs(theta - values[1:3]).max() <= tol * values[2]
 
 
 def test_singular_operator_is_solver_error():

@@ -245,6 +245,17 @@ def test_unreferenced_vertex_rejected():
     assert err.value.context["vertex"] == len(m.vertices)
 
 
+def test_mesh_keeps_a_copy_of_a_view_it_is_built_from():
+    m = dc.generate_rectangle(2, 2, 1.0, 1.0)
+    buf = np.zeros((2, *m.vertices.shape))
+    buf[0] = m.vertices
+    built = dc.Mesh(buf[0], m.triangles, m.boundary_edges)
+    buf[0, 0] = (5.0, 5.0)
+    assert buf.flags.writeable
+    assert np.array_equal(built.vertices, m.vertices)
+    assert built.area == 1.0
+
+
 @pytest.mark.parametrize("x, y, code, context", [
     (1e308, 1e308, "MESH_INVALID", {}),               # squared extent overflows
     (1e-160, 1e-160, "MESH_INVALID", {}),             # squared extent is subnormal

@@ -149,29 +149,20 @@ def test_quantities_rotation_invariant(square):
         assert abs(a - b) <= 1e-8 * abs(a)
 
 
-def test_spectral_caches_are_keyed_on_seed(monkeypatch):
-    from divcurl import spectra
+def test_constants_reuse_an_entry_built_at_no_looser_tolerance(monkeypatch):
+    from conftest import assert_reuse_rule, splu_call_log
 
-    seeds = []
-    smallest_eigs = spectra.smallest_eigs
-
-    def counting(*args, **kwargs):
-        seeds.append(kwargs["seed"])
-        return smallest_eigs(*args, **kwargs)
-
-    monkeypatch.setattr(spectra, "smallest_eigs", counting)
-    m = dc.generate_rectangle(6, 6, 1.0, 1.0)
+    calls = splu_call_log(monkeypatch)
+    m = dc.generate_rectangle(8, 8, 1.0, 1.0)
     gamma = set(m.loops[0][:8].tolist())
-    for compute in (lambda seed: dc.dirichlet_lambda1(m, seed=seed),
-                    lambda seed: dc.neumann_lambda_m(m, seed=seed),
-                    lambda seed: dc.steklov_basis(m, 3, seed=seed).eigenvalues[1],
-                    lambda seed: dc.mixed_lambda1(m, gamma, seed=seed)):
-        seeds.clear()
-        a = compute(0)
-        assert compute(0) == a and seeds == [0]
-        b = compute(1)
-        assert seeds == [0, 1]
-        assert abs(b - a) <= 1e-6 * abs(a)
+    for compute in (lambda tol: dc.dirichlet_lambda1(m, tol=tol),
+                    lambda tol: dc.neumann_lambda_m(m, tol=tol),
+                    lambda tol: dc.steklov_basis(m, 3, tol=tol).eigenvalues[1],
+                    lambda tol: dc.m2_gamma(m, gamma, tol=tol)):
+        assert_reuse_rule(compute, calls)
+    # Steklov pairs: a shorter request takes a prefix, a longer one recomputes.
+    assert len(dc.steklov_basis(m, 2, tol=1e-6)) == 2 and not calls
+    assert len(dc.steklov_basis(m, 4, tol=1e-6)) == 4 and calls
 
 
 def test_caches_release_a_dropped_mesh(monkeypatch):
@@ -189,7 +180,7 @@ def test_caches_release_a_dropped_mesh(monkeypatch):
     eta_tau = shift_to_tangential_compat(m, rho, random_boundary(m, rng))
     tan = bvp.solve_tangential(bvp.DivCurlData(m, random_scalar(m, rng), rho,
                                                eta_tau=eta_tau))
-    c0 = bvp.estimate_C0(m, seed=3)
+    c0 = bvp.estimate_C0(m)
     assert linsolve._factor_cache
     ref = weakref.ref(m)
     del m, rho, eta, sol, basis, eta_tau, tan, c0
